@@ -2,12 +2,23 @@
 
 Internal kernel behind factor_mod_p / degree-set certification.  Polynomials
 are numpy int64 arrays, ascending coefficients, residues in [0, p), trimmed.
-p must stay well below 2**20 so convolution sums fit in int64; the primes this
-package feeds in are a few hundred at most.
+
+Arithmetic modulo a fixed f of degree n goes through PolyMod, which
+precomputes x^(n+j) mod f once (Shoup's precomputed-modulus arithmetic, as in
+NTL), so a modular product is one convolution plus one matrix product.  Both
+sum at most n products of two residues, so they stay exact in int64 while
+n*(p-1)**2 < 2**63: with p < 2**20 that holds for every n below 2**23.  The
+primes this package feeds in are a few hundred at most.
+
+Euclidean division, remainders and (extended) gcds run on Python int lists:
+a long division touches one coefficient per step, which numpy calls would
+only slow down.
 
 The distinct-degree routine uses the Frobenius matrix (rows x^{p*j} mod f) so
 repeated Frobenius steps are matrix-vector products, with gcd extraction
-batched in blocks; this is what makes desk-scale certification sweeps cheap.
+batched in blocks and each block's product split on its own (von zur Gathen
+& Gerhard, Modern Computer Algebra, ch. 14); this is what makes desk-scale
+certification sweeps cheap.
 """
 from __future__ import annotations
 
@@ -50,10 +61,6 @@ def gf_degree(a: GFArray) -> int:
     return len(a) - 1
 
 
-def gf_eq(a: GFArray, b: GFArray) -> bool:
-    return len(a) == len(b) and bool(np.all(a == b))
-
-
 def gf_add(a: GFArray, b: GFArray, p: int) -> GFArray:
     if len(a) < len(b):
         a, b = b, a
@@ -89,21 +96,40 @@ def gf_monic(a: GFArray, p: int) -> GFArray:
     return gf_scale(a, pow(int(a[-1]), p - 2, p), p)
 
 
+def _divmod_list(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Long division of trimmed coefficient lists, b nonzero: (quotient, remainder).
+
+    The working remainder is reduced mod p only where a quotient coefficient
+    is read and at the end; Python ints cannot overflow in between.
+    """
+    db = len(b) - 1
+    da = len(a) - 1
+    if da < db:
+        return [], a[:]
+    inv = pow(b[-1], -1, p)
+    r = a[:]
+    q = [0] * (da - db + 1)
+    for i in range(da - db, -1, -1):
+        c = r[i + db] % p * inv % p
+        if c:
+            q[i] = c
+            for j in range(db):
+                r[i + j] -= c * b[j]
+    rem = [c % p for c in r[:db]]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return q, rem
+
+
+def _array(cs: list[int]) -> GFArray:
+    return np.array(cs, dtype=np.int64)
+
+
 def gf_divmod(a: GFArray, b: GFArray, p: int) -> tuple[GFArray, GFArray]:
     if len(b) == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return gf_zero(), gf_trim(a.copy())
-    rem = a.copy()
-    inv = pow(int(b[-1]), p - 2, p)
-    q = np.zeros(len(a) - db, dtype=np.int64)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c = int(rem[i + db]) * inv % p
-        if c:
-            q[i] = c
-            rem[i : i + db + 1] = (rem[i : i + db + 1] - c * b) % p
-    return gf_trim(q), gf_trim(rem[:db])
+    q, r = _divmod_list(a.tolist(), b.tolist(), p)
+    return _array(q), _array(r)
 
 
 def gf_rem(a: GFArray, b: GFArray, p: int) -> GFArray:
@@ -111,25 +137,27 @@ def gf_rem(a: GFArray, b: GFArray, p: int) -> GFArray:
 
 
 def gf_gcd(a: GFArray, b: GFArray, p: int) -> GFArray:
-    while len(b):
-        a, b = b, gf_rem(a, b, p)
-    return gf_monic(a, p)
+    r0, r1 = a.tolist(), b.tolist()
+    while r1:
+        r0, r1 = r1, _divmod_list(r0, r1, p)[1]
+    return gf_monic(_array(r0), p)
 
 
 def gf_gcdext(a: GFArray, b: GFArray, p: int) -> tuple[GFArray, GFArray, GFArray]:
     """Extended Euclid: (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = gf_trim(a.copy()), gf_trim(b.copy())
+    r0, r1 = a.tolist(), b.tolist()
     s0, s1 = gf_one(), gf_zero()
     t0, t1 = gf_zero(), gf_one()
-    while len(r1):
-        q, r = gf_divmod(r0, r1, p)
+    while r1:
+        q, r = _divmod_list(r0, r1, p)
         r0, r1 = r1, r
+        q = _array(q)
         s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
         t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
-    if len(r0) == 0:
+    if not r0:
         raise ZeroDivisionError("gcdext of zero polynomials")
-    c = pow(int(r0[-1]), p - 2, p)
-    return gf_scale(r0, c, p), gf_scale(s0, c, p), gf_scale(t0, c, p)
+    c = pow(r0[-1], p - 2, p)
+    return gf_scale(_array(r0), c, p), gf_scale(s0, c, p), gf_scale(t0, c, p)
 
 
 def gf_derivative(a: GFArray, p: int) -> GFArray:
@@ -138,28 +166,41 @@ def gf_derivative(a: GFArray, p: int) -> GFArray:
     return gf_trim((a[1:] * np.arange(1, len(a), dtype=np.int64)) % p)
 
 
-def gf_eval(a: GFArray, x: int, p: int) -> int:
-    acc = 0
-    for c in a[::-1]:
-        acc = (acc * x + int(c)) % p
-    return acc
-
-
 def gf_is_squarefree(a: GFArray, p: int) -> bool:
     return gf_degree(gf_gcd(a, gf_derivative(a, p), p)) == 0
 
 
 class PolyMod:
-    """Arithmetic in F_p[x]/(f) with f monic; caches the Frobenius matrix."""
+    """Arithmetic in F_p[x]/(f) with f monic.
+
+    Builds the reduction table (row j = x^(n+j) mod f, j < n-1) up front and
+    caches the Frobenius matrix on first use.
+    """
 
     def __init__(self, f: GFArray, p: int):
         self.p = p
         self.f = gf_monic(np.asarray(f, dtype=np.int64), p)
-        self.n = gf_degree(self.f)
+        n = self.n = gf_degree(self.f)
         self._frob: GFArray | None = None
+        # a product of two residues has degree at most 2n-2
+        table = np.zeros((max(n - 1, 0), max(n, 0)), dtype=np.int64)
+        if n > 1:
+            table[0] = (-self.f[:n]) % p
+            for j in range(1, n - 1):
+                prev = table[j - 1]
+                table[j, 1:] = prev[:-1]
+                table[j] = (table[j] + prev[-1] * table[0]) % p
+        self._table = table
 
     def mul(self, a: GFArray, b: GFArray) -> GFArray:
-        return gf_rem(gf_mul(a, b, self.p), self.f, self.p)
+        """a*b mod f, for a and b already reduced mod f."""
+        if len(a) == 0 or len(b) == 0:
+            return gf_zero()
+        c = np.convolve(a, b) % self.p
+        n = self.n
+        if len(c) > n:
+            c = (c[:n] + c[n:] @ self._table[: len(c) - n]) % self.p
+        return gf_trim(c)
 
     def pow(self, a: GFArray, e: int) -> GFArray:
         r = gf_one()
@@ -233,8 +274,12 @@ def gf_squarefree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
 def gf_distinct_degree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
     """Distinct-degree split of squarefree monic f: list of (product, degree).
 
-    Factors of degree j are returned multiplied together; blocked gcd
-    extraction with early exit once the remainder must be irreducible.
+    Factors of degree j are returned multiplied together.  The iterates
+    h_j = x^(p^j) mod f come in blocks of 8: one gcd with the product of the
+    block's h_j - x takes every factor of a degree in the block out of the
+    remainder at once, and only that gcd g is split further, by
+    gcd(g, h_j - x) in ascending j.  Early exit once the remainder must be
+    irreducible.
     """
     ctx = PolyMod(f, p)
     n = ctx.n
@@ -245,26 +290,32 @@ def gf_distinct_degree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
     out: list[tuple[GFArray, int]] = []
     remaining = ctx.f
     rem_deg = n
-    h = gf_x()
-    iterates: list[tuple[int, GFArray]] = []
+    x = gf_x()
+    h = x
     j = 0
     block = 8
     while rem_deg >= 2 * (j + 1):
-        iterates.clear()
+        iterates: list[tuple[int, GFArray]] = []  # (j, h_j - x)
         while len(iterates) < block and rem_deg >= 2 * (j + 1):
             j += 1
             h = ctx.frobenius(h)
-            iterates.append((j, h))
+            iterates.append((j, gf_sub(h, x, p)))
         acc = gf_one()
-        for _, hj in iterates:
-            acc = ctx.mul(acc, gf_sub(hj, gf_x(), p))
-        if gf_degree(gf_gcd(remaining, acc, p)) > 0:
-            for jj, hj in iterates:
-                g = gf_gcd(remaining, gf_sub(hj, gf_x(), p), p)
-                if gf_degree(g) > 0:
-                    out.append((g, jj))
-                    remaining = gf_divmod(remaining, g, p)[0]
-                    rem_deg -= gf_degree(g)
+        for _, hx in iterates:
+            acc = ctx.mul(acc, hx)
+        g = gf_gcd(remaining, acc, p)
+        if gf_degree(g) == 0:
+            continue
+        remaining = gf_divmod(remaining, g, p)[0]
+        rem_deg -= gf_degree(g)
+        for jj, hx in iterates:
+            # the first Euclid step reduces h_j - x mod g
+            gj = gf_gcd(hx, g, p)
+            if gf_degree(gj) > 0:
+                out.append((gj, jj))
+                g = gf_divmod(g, gj, p)[0]
+                if gf_degree(g) == 0:
+                    break
     if rem_deg > 0:
         out.append((remaining, rem_deg))
     return out

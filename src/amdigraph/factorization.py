@@ -239,7 +239,7 @@ def certify_irreducible(
             break
     if n <= _FULL_FACTOR_DEGREE:
         try:
-            factors, _ = _factor_over_Q(poly, _DEGREE_CAP)
+            factors, _ = _factor_over_Q(poly, _DEGREE_CAP, scan=(mask, used))
         except (NotSquarefree, ValueError):
             factors = None
         if factors is not None and len(factors) == 1:
@@ -320,8 +320,15 @@ def _l2_norm_ceil(f: IntPoly) -> int:
 
 
 def _factor_over_Q(
-    poly: IntPoly, degree_cap: int
+    poly: IntPoly, degree_cap: int, scan: tuple[int, list[int]] | None = None
 ) -> tuple[list[IntPoly] | None, tuple[int, ...]]:
+    """Factor poly over Q; also returns the primes the result rests on.
+
+    ``scan`` is a degree-set pass already made over poly (the intersected
+    closure mask and the usable primes it scanned, as in
+    certify_irreducible); without it the pruning mask comes from a pass of
+    its own over up to _PRIME_BUDGET primes.
+    """
     if poly.degree < 1:
         raise ValueError("factor_over_Q expects a nonconstant polynomial")
     if poly.content() != 1:
@@ -354,18 +361,21 @@ def _factor_over_Q(
     if n == 1:
         return [poly], ()
 
-    # degree-set pruning mask
-    allowed_primes: list[int] = []
-    mask = (1 << (n + 1)) - 1
-    for p in prime_range_from(_PRIME_FLOOR):
-        img = _usable_reduction(f, p)
-        if img is None:
-            continue
-        allowed_primes.append(p)
-        degs = [d for prod, d in _gf.gf_distinct_degree_list(img, p) for _ in range(_gf.gf_degree(prod) // d)]
-        mask &= _closure_mask(degs)
-        if mask == (1 | (1 << n)) or len(allowed_primes) >= _PRIME_BUDGET:
-            break
+    # degree-set pruning mask; negating poly leaves every mod-p degree alone
+    if scan is not None:
+        mask, allowed_primes = scan
+    else:
+        allowed_primes = []
+        mask = (1 << (n + 1)) - 1
+        for p in prime_range_from(_PRIME_FLOOR):
+            img = _usable_reduction(f, p)
+            if img is None:
+                continue
+            allowed_primes.append(p)
+            degs = [d for prod, d in _gf.gf_distinct_degree_list(img, p) for _ in range(_gf.gf_degree(prod) // d)]
+            mask &= _closure_mask(degs)
+            if mask == (1 | (1 << n)) or len(allowed_primes) >= _PRIME_BUDGET:
+                break
     if mask == (1 | (1 << n)):
         return [poly], tuple(allowed_primes)
 

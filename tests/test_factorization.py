@@ -248,3 +248,48 @@ def test_reducible_factor_degrees_follow_split_index() -> None:
         assert v.observed.factor_degrees == tuple(
             sorted((euler_phi(m), total - euler_phi(m)))
         )
+
+
+# Outputs pinned at the commit before the F_p kernel moved to precomputed
+# modular arithmetic: a kernel change must leave every verdict, degree list
+# and prime list as it was.
+_FIRST_24 = (
+    101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157,
+    163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227,
+)
+
+
+@pytest.mark.parametrize(
+    "i, k, kind, degrees, primes",
+    [
+        # degree <= 48, full factoring: reducible, then irreducible
+        (5, 8, "FullFactorization", (4, 28), _FIRST_24),
+        (6, 13, "FullFactorization", (2, 24), _FIRST_24),
+        (5, 6, "FullFactorization", (24,), _FIRST_24[:8]),
+        (3, 20, "FullFactorization", (40,), (101,)),
+        # above 48 with Phi_m dividing: the peeled tower
+        (14, 12, "FullFactorization", (6, 66), (113, 127)),
+        (6, 25, "FullFactorization", (2, 48), (103, 109)),
+        # above 48, no Phi_m: the tower alone
+        (5, 14, "DegreeSetIntersection", (56,), (101, 131)),
+        (7, 9, "DegreeSetIntersection", (54,), (113, 127)),
+    ],
+)
+def test_conjecture_verdict_pinned_outputs(i, k, kind, degrees, primes) -> None:
+    observed = conjecture_verdict(i, k).observed
+    assert observed.certificate_kind == kind
+    assert observed.factor_degrees == degrees
+    assert observed.primes_used == primes
+
+
+@pytest.mark.parametrize(
+    "i, k, degree_set",
+    [(5, 8, {0, 4, 28, 32}), (4, 10, {0, 2, 18, 20})],
+)
+def test_certify_irreducible_fallback_on_reducible_pinned(i, k, degree_set) -> None:
+    # reducible and of degree <= 48: the budget runs out, the fallback
+    # factors outright and the verdict stays Unknown on the scanned primes
+    out = certify_irreducible(build_F(i, k))
+    assert out.status == "Unknown"
+    assert out.primes_used == _FIRST_24
+    assert out.degree_set == frozenset(degree_set)

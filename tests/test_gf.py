@@ -1,0 +1,261 @@
+"""Oracle tests for the F_p kernel: pure-Python-int references and sympy."""
+from __future__ import annotations
+
+import functools
+import random
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_div, gf_gcd as sympy_gcd, gf_gcdex, gf_irreducible_p
+
+from amdigraph import _gf
+
+PRIMES = (2, 3, 101, 997)
+
+# ---------------------------------------------------------------------------
+# References on ascending Python int lists, trimmed, residues in [0, p)
+# ---------------------------------------------------------------------------
+
+
+def _trim(a: list[int]) -> list[int]:
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def ref_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim([c % p for c in out])
+
+
+def ref_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], p - 2, p)
+    while len(r) >= len(b):
+        c = r[-1] * inv % p
+        shift = len(r) - len(b)
+        q[shift] = c
+        for j, y in enumerate(b):
+            r[shift + j] = (r[shift + j] - c * y) % p
+        r = _trim(r)
+    return _trim(q), r
+
+
+def ref_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    while b:
+        a, b = b, ref_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def ref_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    r, a = [1], ref_divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            r = ref_divmod(ref_mul(r, a, p), f, p)[1]
+        a = ref_divmod(ref_mul(a, a, p), f, p)[1]
+        e >>= 1
+    return r
+
+
+def ref_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def ref_ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Unblocked distinct-degree split: one gcd per Frobenius iterate.
+
+    Iterates are kept mod the shrinking remainder, which leaves each gcd alone.
+    """
+    out = []
+    rem = f
+    h = [0, 1]
+    j = 0
+    while len(rem) - 1 >= 2 * (j + 1):
+        j += 1
+        h = ref_powmod(h, p, rem, p)
+        g = ref_gcd(rem, ref_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, j))
+            rem = ref_divmod(rem, g, p)[0]
+    if len(rem) > 1:
+        out.append((rem, len(rem) - 1))
+    return out
+
+
+def ref_squarefree(f: list[int], p: int) -> bool:
+    deriv = _trim([(j * c) % p for j, c in enumerate(f)][1:])
+    return len(ref_gcd(f, deriv, p)) == 1
+
+
+def arr(a: list[int]) -> np.ndarray:
+    return np.array(a, dtype=np.int64)
+
+
+def lst(a: np.ndarray) -> list[int]:
+    return [int(c) for c in a]
+
+
+def sympy_dense(a: list[int]) -> list[int]:
+    return a[::-1]
+
+
+def from_sympy(a: list[int]) -> list[int]:
+    return [int(c) for c in a[::-1]]
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def poly(draw, p: int, max_len: int, monic_degree: int | None = None) -> list[int]:
+    """Trimmed residues; monic of exactly ``monic_degree`` when given."""
+    if monic_degree is not None:
+        body = draw(st.lists(st.integers(0, p - 1), min_size=monic_degree, max_size=monic_degree))
+        return body + [1]
+    return _trim(draw(st.lists(st.integers(0, p - 1), max_size=max_len)))
+
+
+@st.composite
+def modulus_and_residues(draw):
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 120))
+    f = draw(poly(p, n, monic_degree=n))
+    a = draw(poly(p, n))
+    b = draw(poly(p, n))
+    return p, f, a, b
+
+
+@st.composite
+def dividend_and_divisor(draw):
+    p = draw(st.sampled_from(PRIMES))
+    a = draw(poly(p, 121))
+    b = draw(poly(p, 121).filter(bool))
+    return p, a, b
+
+
+@functools.cache
+def _irreducibles(d: int, p: int) -> list[list[int]]:
+    """Up to three distinct monic irreducibles of degree d mod p, from a fixed seed."""
+    rng = random.Random(1000 * d + p)
+    found: list[list[int]] = []
+    for _ in range(300):
+        f = [rng.randrange(p) for _ in range(d)] + [1]
+        if f not in found and gf_irreducible_p(sympy_dense(f), p, ZZ):
+            found.append(f)
+            if len(found) == 3:
+                break
+    return found
+
+
+@st.composite
+def squarefree_with_close_degrees(draw):
+    """Products of distinct irreducibles whose degrees share one block of 8."""
+    p = draw(st.sampled_from((2, 3, 101)))
+    degrees = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5))
+    f = [1]
+    used = set()
+    for d in degrees:
+        choices = [g for g in _irreducibles(d, p) if tuple(g) not in used]
+        if not choices:
+            continue
+        g = draw(st.sampled_from(choices))
+        used.add(tuple(g))
+        f = ref_mul(f, g, p)
+    assume(len(f) > 2)
+    return p, f
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+
+@given(modulus_and_residues())
+@settings(max_examples=80, deadline=None)
+def test_polymod_mul_matches_schoolbook(case) -> None:
+    p, f, a, b = case
+    ctx = _gf.PolyMod(arr(f), p)
+    expected = ref_divmod(ref_mul(a, b, p), f, p)[1]
+    assert lst(ctx.mul(arr(a), arr(b))) == expected
+
+
+@given(dividend_and_divisor())
+@settings(max_examples=80, deadline=None)
+def test_divmod_matches_sympy(case) -> None:
+    p, a, b = case
+    q, r = _gf.gf_divmod(arr(a), arr(b), p)
+    sq, sr = gf_div(sympy_dense(a), sympy_dense(b), p, ZZ)
+    assert (lst(q), lst(r)) == (from_sympy(sq), from_sympy(sr))
+    assert lst(_gf.gf_rem(arr(a), arr(b), p)) == from_sympy(sr)
+
+
+@given(dividend_and_divisor())
+@settings(max_examples=80, deadline=None)
+def test_gcd_and_gcdext_match_sympy(case) -> None:
+    p, a, b = case
+    g = sympy_gcd(sympy_dense(a), sympy_dense(b), p, ZZ)
+    assert lst(_gf.gf_gcd(arr(a), arr(b), p)) == from_sympy(g)
+    s, t, h = gf_gcdex(sympy_dense(a), sympy_dense(b), p, ZZ)
+    got = _gf.gf_gcdext(arr(a), arr(b), p)
+    assert [lst(x) for x in got] == [from_sympy(h), from_sympy(s), from_sympy(t)]
+
+
+@given(st.sampled_from(PRIMES), st.integers(1, 120), st.data())
+@settings(max_examples=30, deadline=None)
+def test_distinct_degree_list_matches_unblocked_reference(p: int, n: int, data) -> None:
+    f = data.draw(poly(p, n, monic_degree=n))
+    assume(ref_squarefree(f, p))
+    got = [(lst(g), d) for g, d in _gf.gf_distinct_degree_list(arr(f), p)]
+    assert got == ref_ddf(f, p)
+
+
+@given(squarefree_with_close_degrees())
+@settings(max_examples=60, deadline=None)
+def test_distinct_degree_list_splits_degrees_within_one_block(case) -> None:
+    p, f = case
+    got = [(lst(g), d) for g, d in _gf.gf_distinct_degree_list(arr(f), p)]
+    assert got == ref_ddf(f, p)
+
+
+def test_distinct_degree_list_several_degrees_in_first_block() -> None:
+    # degrees 1, 2, 3, 5 and 7 all fall in the block j = 1..8, and the
+    # degree-10 factor is left over as the irreducible remainder
+    p = 3
+    degrees = (1, 2, 3, 5, 7, 10)
+    f = [1]
+    for d in degrees:
+        f = ref_mul(f, _irreducibles(d, p)[0], p)
+    got = [(lst(g), d) for g, d in _gf.gf_distinct_degree_list(arr(f), p)]
+    assert got == ref_ddf(f, p)
+    assert [d for _, d in got] == list(degrees)
+
+
+def test_int64_edge_largest_prime_degree_300() -> None:
+    # n * (p - 1)**2 < 2**63 bounds every convolution and table-matmul sum;
+    # the largest prime the kernel accepts at n = 300 stays far inside it
+    p = 1048573  # largest prime below 2**20
+    assert p < _gf._MAX_P
+    rng = random.Random(300)
+    n = 300
+    f = [rng.randrange(p) for _ in range(n)] + [1]
+    a = _trim([rng.randrange(p) for _ in range(n)])
+    b = _trim([rng.randrange(p) for _ in range(n)])
+    ctx = _gf.PolyMod(arr(f), p)
+    assert lst(ctx.mul(arr(a), arr(b))) == ref_divmod(ref_mul(a, b, p), f, p)[1]
+    a_to_p = ref_powmod(a, p, f, p)
+    assert lst(ctx.pow(arr(a), p)) == a_to_p
+    assert lst(ctx.frobenius(arr(a))) == a_to_p
