@@ -280,6 +280,12 @@ def gf_distinct_degree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
     remainder at once, and only that gcd g is split further, by
     gcd(g, h_j - x) in ascending j.  Early exit once the remainder must be
     irreducible.
+
+    Splitting g at jj, every factor left in g has degree in [jj, j], j the
+    block's last iterate, so two cases need no gcd: deg g < 2*jj leaves one
+    irreducible factor, of degree deg g, and jj == j leaves factors of degree
+    j only.  Either way g is appended as is and the split stops, which gives
+    the list the gcds would have built.
     """
     ctx = PolyMod(f, p)
     n = ctx.n
@@ -309,6 +315,10 @@ def gf_distinct_degree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
         remaining = gf_divmod(remaining, g, p)[0]
         rem_deg -= gf_degree(g)
         for jj, hx in iterates:
+            dg = gf_degree(g)
+            if dg < 2 * jj or jj == j:
+                out.append((g, dg if dg < 2 * jj else j))
+                break
             # the first Euclid step reduces h_j - x mod g
             gj = gf_gcd(hx, g, p)
             if gf_degree(gj) > 0:

@@ -276,10 +276,7 @@ def poly_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
 
 def poly_divexact(a: IntPoly, b: IntPoly) -> IntPoly:
     """Exact quotient a/b over the integers; NotDivisible if remainder."""
-    try:
-        q, r = poly_divmod(a, b)
-    except NotDivisible:
-        raise
+    q, r = poly_divmod(a, b)
     if not r.is_zero:
         raise NotDivisible(f"remainder of degree {r.degree} is nonzero")
     return q

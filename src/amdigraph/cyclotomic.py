@@ -8,7 +8,6 @@ unity (Ramanujan sums) that feed the trace system.
 from __future__ import annotations
 
 from math import gcd
-from threading import Lock
 
 from .algebra import IntPoly, divisors, euler_phi, mobius, poly_compose, poly_divexact
 
@@ -17,12 +16,11 @@ class CyclotomicCache:
     """Write-once cache of cyclotomic polynomials Phi_i.
 
     Phi_i is computed as (x^i - 1) / prod_{d | i, d < i} Phi_d by exact
-    integer division; insertion is idempotent, so concurrent fills are safe.
+    integer division.
     """
 
     def __init__(self):
         self._table: dict[int, IntPoly] = {1: IntPoly((-1, 1))}
-        self._lock = Lock()
 
     def get(self, i: int) -> IntPoly:
         if i < 1:
@@ -35,13 +33,8 @@ class CyclotomicCache:
         for d in divisors(i):
             if d < i:
                 den = den * self.get(d)
-        phi = poly_divexact(num, den)
-        with self._lock:
-            self._table.setdefault(i, phi)
-        return self._table[i]
-
-    def cached_indices(self) -> list[int]:
-        return sorted(self._table)
+        phi = self._table[i] = poly_divexact(num, den)
+        return phi
 
 
 _CACHE = CyclotomicCache()

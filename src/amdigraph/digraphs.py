@@ -339,14 +339,7 @@ def _diameter(g: Digraph) -> int | None:
     """Exact diameter by per-vertex BFS; None when not strongly connected."""
     worst = 0
     for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        queue = [s]
-        for u in queue:
-            for w in g.out[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+        dist = _bfs_dist(g, s)
         if min(dist) < 0:
             return None
         worst = max(worst, max(dist))

@@ -168,6 +168,12 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _ddf_degrees(f: _gf.GFArray, p: int) -> list[int]:
+    """Degrees, with multiplicity, of the irreducible factors of squarefree f
+    mod p; their number is the number of mod-p factors."""
+    return [d for prod, d in _gf.gf_distinct_degree_list(f, p) for _ in range(_gf.gf_degree(prod) // d)]
+
+
 def _usable_reduction(poly: IntPoly, p: int) -> _gf.GFArray | None:
     if poly.lead % p == 0:
         return None
@@ -194,8 +200,7 @@ def degree_set(poly: IntPoly, primes: Sequence[int]) -> frozenset[int]:
         if f is None:
             continue
         used += 1
-        degs = [d for prod, d in _gf.gf_distinct_degree_list(f, p) for _ in range(_gf.gf_degree(prod) // d)]
-        mask &= _closure_mask(degs)
+        mask &= _closure_mask(_ddf_degrees(f, p))
     if used == 0:
         raise NoUsablePrime("no prime gave a squarefree full-degree reduction")
     return _mask_to_set(mask)
@@ -222,7 +227,7 @@ def certify_irreducible(
         return IrreducibilityOutcome("Irreducible", (), frozenset({0, 1}))
     target = 1 | (1 << n)
     mask = (1 << (n + 1)) - 1
-    used: list[int] = []
+    counts: dict[int, int] = {}  # usable prime -> number of mod-p factors
     # scan cap: a repeated factor makes every reduction non-squarefree
     for scanned, p in enumerate(prime_range_from(_PRIME_FLOOR)):
         if scanned >= 64 * budget:
@@ -230,21 +235,21 @@ def certify_irreducible(
         f = _usable_reduction(poly, p)
         if f is None:
             continue
-        used.append(p)
-        degs = [d for prod, d in _gf.gf_distinct_degree_list(f, p) for _ in range(_gf.gf_degree(prod) // d)]
+        degs = _ddf_degrees(f, p)
+        counts[p] = len(degs)
         mask &= _closure_mask(degs)
         if mask == target:
-            return IrreducibilityOutcome("Irreducible", tuple(used), _mask_to_set(mask))
-        if len(used) >= budget:
+            return IrreducibilityOutcome("Irreducible", tuple(counts), _mask_to_set(mask))
+        if len(counts) >= budget:
             break
     if n <= _FULL_FACTOR_DEGREE:
         try:
-            factors, _ = _factor_over_Q(poly, _DEGREE_CAP, scan=(mask, used))
+            factors, _ = _factor_over_Q(poly, _DEGREE_CAP, scan=(mask, counts))
         except (NotSquarefree, ValueError):
             factors = None
         if factors is not None and len(factors) == 1:
-            return IrreducibilityOutcome("Irreducible", tuple(used), _mask_to_set(mask))
-    return IrreducibilityOutcome("Unknown", tuple(used), _mask_to_set(mask))
+            return IrreducibilityOutcome("Irreducible", tuple(counts), _mask_to_set(mask))
+    return IrreducibilityOutcome("Unknown", tuple(counts), _mask_to_set(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +325,16 @@ def _l2_norm_ceil(f: IntPoly) -> int:
 
 
 def _factor_over_Q(
-    poly: IntPoly, degree_cap: int, scan: tuple[int, list[int]] | None = None
+    poly: IntPoly, degree_cap: int, scan: tuple[int, dict[int, int]] | None = None
 ) -> tuple[list[IntPoly] | None, tuple[int, ...]]:
     """Factor poly over Q; also returns the primes the result rests on.
 
     ``scan`` is a degree-set pass already made over poly (the intersected
-    closure mask and the usable primes it scanned, as in
+    closure mask, and the number of mod-p factors at each usable prime it
+    scanned, in ascending order from _PRIME_FLOOR, as in
     certify_irreducible); without it the pruning mask comes from a pass of
-    its own over up to _PRIME_BUDGET primes.
+    its own over up to _PRIME_BUDGET primes.  The scan's counts choose the
+    Hensel prime, so only that prime is factored mod p.
     """
     if poly.degree < 1:
         raise ValueError("factor_over_Q expects a nonconstant polynomial")
@@ -363,38 +370,34 @@ def _factor_over_Q(
 
     # degree-set pruning mask; negating poly leaves every mod-p degree alone
     if scan is not None:
-        mask, allowed_primes = scan
+        mask, counts = scan
     else:
-        allowed_primes = []
+        counts = {}
         mask = (1 << (n + 1)) - 1
         for p in prime_range_from(_PRIME_FLOOR):
             img = _usable_reduction(f, p)
             if img is None:
                 continue
-            allowed_primes.append(p)
-            degs = [d for prod, d in _gf.gf_distinct_degree_list(img, p) for _ in range(_gf.gf_degree(prod) // d)]
+            degs = _ddf_degrees(img, p)
+            counts[p] = len(degs)
             mask &= _closure_mask(degs)
-            if mask == (1 | (1 << n)) or len(allowed_primes) >= _PRIME_BUDGET:
+            if mask == (1 | (1 << n)) or len(counts) >= _PRIME_BUDGET:
                 break
     if mask == (1 | (1 << n)):
-        return [poly], tuple(allowed_primes)
+        return [poly], tuple(counts)
 
-    # pick the usable prime with the fewest modular factors among the first few
-    best: tuple[int, list[tuple[_gf.GFArray, int]]] | None = None
-    count = 0
-    for p in prime_range_from(_PRIME_FLOOR):
-        img = _usable_reduction(f, p)
-        if img is None:
-            continue
-        count += 1
-        _, facs = _gf.gf_factor(img, p)
-        if best is None or len(facs) < len(best[1]):
-            best = (p, facs)
-        if count >= 5 or len(facs) == 1:
+    # Hensel prime: the first with the fewest mod-p factors among the first
+    # five usable primes; the counts past the end of a shorter scan come here
+    sample = list(counts.items())[:5]
+    for p in prime_range_from(max(counts, default=_PRIME_FLOOR - 1) + 1):
+        if len(sample) >= 5:
             break
-    assert best is not None
-    hensel_p, mod_facs = best
-    primes_used = tuple(sorted(set(allowed_primes) | {hensel_p}))
+        img = _usable_reduction(f, p)
+        if img is not None:
+            sample.append((p, len(_ddf_degrees(img, p))))
+    hensel_p = min(sample, key=lambda pc: pc[1])[0]
+    _, mod_facs = _gf.gf_factor(_gf.gf_from_coeffs(f.coeffs, hensel_p), hensel_p)
+    primes_used = tuple(sorted(set(counts) | {hensel_p}))
     if len(mod_facs) == 1:
         return [poly], primes_used
 
@@ -516,7 +519,11 @@ def _chain_minus_root(k: int, zbar: int, p: int, peel: bool) -> _gf.GFArray | No
 def _certify_tower(i: int, k: int, peel: bool) -> tuple[bool, tuple[int, ...]]:
     """Certify s - zeta (or its peeled quotient) irreducible over Q(zeta_i)
     by intersecting degree-set closures of the residue samples at primes
-    p = 1 (mod i).  Sound regardless of sample correlations."""
+    p = 1 (mod i).  Sound regardless of sample correlations.
+
+    The mask is checked after every sample: once it reaches {0, deg} the
+    remaining roots at that prime are skipped, and the prime, which has
+    contributed, ends the list of primes used."""
     deg = k - 1 if peel else k
     target = 1 | (1 << deg)
     mask = (1 << (deg + 1)) - 1
@@ -531,12 +538,11 @@ def _certify_tower(i: int, k: int, peel: bool) -> tuple[bool, tuple[int, ...]]:
             if f is None or not _gf.gf_is_squarefree(f, p):
                 continue
             contributed = True
-            degs = [d for prod, d in _gf.gf_distinct_degree_list(f, p) for _ in range(_gf.gf_degree(prod) // d)]
-            mask &= _closure_mask(degs)
+            mask &= _closure_mask(_ddf_degrees(f, p))
+            if mask == target:
+                return True, tuple(used + [p])
         if contributed:
             used.append(p)
-            if mask == target:
-                return True, tuple(used)
             if len(used) >= budget:
                 break
     return False, tuple(used)

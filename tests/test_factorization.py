@@ -5,7 +5,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from amdigraph.algebra import IntPoly, euler_phi, poly_mul, primes_in
+from amdigraph import _gf, factorization
+from amdigraph.algebra import IntPoly, euler_phi, poly_divexact, poly_mul, prime_range_from, primes_in
 from amdigraph.cyclotomic import build_F, cyclotomic
 from amdigraph.factorization import (
     BadPrime,
@@ -273,6 +274,13 @@ _FIRST_24 = (
         # above 48, no Phi_m: the tower alone
         (5, 14, "DegreeSetIntersection", (56,), (101, 131)),
         (7, 9, "DegreeSetIntersection", (54,), (113, 127)),
+        # recorded at the commit before the tower checked its target after
+        # every root sample: each reaches it before the last root of its
+        # last prime, peeled and not
+        (5, 28, "FullFactorization", (4, 108), (101, 131, 151)),
+        (7, 12, "FullFactorization", (6, 66), (113, 127)),
+        (8, 17, "DegreeSetIntersection", (68,), (113, 137)),
+        (7, 10, "DegreeSetIntersection", (60,), (113,)),
     ],
 )
 def test_conjecture_verdict_pinned_outputs(i, k, kind, degrees, primes) -> None:
@@ -293,3 +301,81 @@ def test_certify_irreducible_fallback_on_reducible_pinned(i, k, degree_set) -> N
     assert out.status == "Unknown"
     assert out.primes_used == _FIRST_24
     assert out.degree_set == frozenset(degree_set)
+
+
+def _record_gf_factor(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Spy on _gf.gf_factor: the returned list collects each call's prime."""
+    primes: list[int] = []
+    gf_factor = _gf.gf_factor
+
+    def spy(f, p):
+        primes.append(p)
+        return gf_factor(f, p)
+
+    monkeypatch.setattr(_gf, "gf_factor", spy)
+    return primes
+
+
+def test_certify_irreducible_budget_four_pinned(monkeypatch: pytest.MonkeyPatch) -> None:
+    # four usable primes are fewer than the five the Hensel prime is chosen
+    # from, so the fifth count (113) is computed past the scan; recorded at
+    # the commit before the scan's factor counts chose the Hensel prime
+    monkeypatch.setenv("AMD_PRIME_BUDGET", "4")
+    results = []
+    factor_over_Q = factorization._factor_over_Q
+
+    def spy(*args, **kwargs):
+        results.append(factor_over_Q(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(factorization, "_factor_over_Q", spy)
+    factored = _record_gf_factor(monkeypatch)
+    F = build_F(5, 8)
+    out = certify_irreducible(F)
+    assert out.status == "Unknown"
+    assert out.primes_used == (101, 103, 107, 109)
+    assert out.degree_set == frozenset(range(0, 33, 4))
+    [(factors, primes)] = results
+    assert [g.coeffs for g in factors] == [(1, -1, 1, -1, 1), poly_divexact(F, cyclotomic(10)).coeffs]
+    assert primes == (101, 103, 107, 109)
+    assert factored == [103]
+
+
+def _five_prime_hensel_choice(f: IntPoly) -> int:
+    """The Hensel-prime loop the scan's factor counts replaced: factor f mod
+    each of the first five usable primes, keep the first with fewest factors."""
+    best: tuple[int, int] | None = None
+    count = 0
+    for p in prime_range_from(101):
+        img = _gf.gf_from_coeffs(f.coeffs, p)
+        if f.lead % p == 0 or not _gf.gf_is_squarefree(img, p):
+            continue
+        count += 1
+        n = len(_gf.gf_factor(img, p)[1])
+        if best is None or n < best[1]:
+            best = (p, n)
+        if count >= 5 or n == 1:
+            break
+    assert best is not None
+    return best[0]
+
+
+def test_factor_over_Q_factors_mod_p_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # every reducible criterion-6 cell of degree <= 24: one gf_factor call,
+    # at the prime the five-prime loop picks, which the result rests on
+    reducible = 0
+    for i in range(2, 200):
+        for k in range(2, 49):
+            if euler_phi(i) * k > 24:
+                break
+            F = build_F(i, k)
+            expected = _five_prime_hensel_choice(F)
+            with monkeypatch.context() as m:
+                factored = _record_gf_factor(m)
+                factors, primes = factorization._factor_over_Q(F, factorization._DEGREE_CAP)
+            assert factors is not None
+            if len(factors) > 1:
+                reducible += 1
+                assert factored == [expected]
+                assert expected in primes
+    assert reducible == 10

@@ -5,6 +5,7 @@ import functools
 import random
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
@@ -242,6 +243,28 @@ def test_distinct_degree_list_several_degrees_in_first_block() -> None:
     got = [(lst(g), d) for g, d in _gf.gf_distinct_degree_list(arr(f), p)]
     assert got == ref_ddf(f, p)
     assert [d for _, d in got] == list(degrees)
+
+
+@pytest.mark.parametrize(
+    "p, degrees",
+    [
+        # block j = 9..16 takes one degree-12 factor: deg g < 2*9 at once
+        (3, (12, 30)),
+        # deg g < 2*jj in mid block: the degree-5 factor left after jj = 3
+        (3, (3, 5, 20)),
+        # two degree-8 factors left at the last iterate j = 8
+        (3, (5, 8, 8)),
+        # a block cut short at j = 4 holding degrees jj = 2 and j = 4
+        (101, (2, 4, 4)),
+    ],
+)
+def test_distinct_degree_list_split_shortcuts(p: int, degrees: tuple[int, ...]) -> None:
+    f = [1]
+    for n, d in enumerate(degrees):
+        f = ref_mul(f, _irreducibles(d, p)[degrees[:n].count(d)], p)
+    got = [(lst(g), d) for g, d in _gf.gf_distinct_degree_list(arr(f), p)]
+    assert got == ref_ddf(f, p)
+    assert [d for g, d in got for _ in range(len(g) // d)] == list(degrees)
 
 
 def test_int64_edge_largest_prime_degree_300() -> None:
