@@ -3,13 +3,11 @@
 The central object downstream is F_{i,k} = Phi_i(1 + x + ... + x^k), whose
 irreducibility pattern drives the nonexistence arguments, together with the
 power sums S_ell(Phi_n) = sum of ell-th powers of the primitive n-th roots of
-unity (Ramanujan sums) that feed the trace system.
+unity (Ramanujan sums, by Hoelder's closed form) that feed the trace system.
 """
 from __future__ import annotations
 
-from math import gcd
-
-from .algebra import IntPoly, divisors, euler_phi, mobius, poly_compose, poly_divexact
+from .algebra import IntPoly, divisors, euler_phi, factorize, poly_compose, poly_divexact
 
 
 class CyclotomicCache:
@@ -62,12 +60,15 @@ def build_F(i: int, k: int) -> IntPoly:
 
 
 def ramanujan_sum(ell: int, n: int) -> int:
-    """Sum of ell-th powers of the primitive n-th roots of unity.
-
-    Computed by the divisor formula sum_{j | gcd(n, ell)} mobius(n/j) * j,
-    never by root enumeration.
-    """
+    """Sum of ell-th powers of the primitive n-th roots of unity, by
+    Hoelder's closed form (Hardy & Wright 16.6): the product over p^b || n
+    of p^b - p^(b-1) if p^b | ell, -p^(b-1) if p^(b-1) || ell, else 0."""
     if ell < 1 or n < 1:
         raise ValueError("ramanujan_sum expects ell >= 1 and n >= 1")
-    g = gcd(n, ell)
-    return sum(mobius(n // j) * j for j in divisors(g))
+    out = 1
+    for p, b in factorize(n).items():
+        q = p ** (b - 1)
+        if ell % q:
+            return 0
+        out *= q * p - q if ell % (q * p) == 0 else -q
+    return out

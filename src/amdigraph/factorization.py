@@ -523,15 +523,17 @@ def _certify_tower(i: int, k: int, peel: bool) -> tuple[bool, tuple[int, ...]]:
 
     The mask is checked after every sample: once it reaches {0, deg} the
     remaining roots at that prime are skipped, and the prime, which has
-    contributed, ends the list of primes used."""
+    contributed, ends the list of primes used.  As in certify_irreducible,
+    the scan stops after 64 * budget primes (here p = 1 (mod i))."""
     deg = k - 1 if peel else k
     target = 1 | (1 << deg)
     mask = (1 << (deg + 1)) - 1
     budget = _env_budget()
     used: list[int] = []
-    for p in prime_range_from(_PRIME_FLOOR):
-        if (p - 1) % i != 0:
-            continue
+    primes = (p for p in prime_range_from(_PRIME_FLOOR) if (p - 1) % i == 0)
+    for scanned, p in enumerate(primes):
+        if scanned >= 64 * budget:
+            break
         contributed = False
         for zbar in _primitive_ith_roots(i, p):
             f = _chain_minus_root(k, zbar, p, peel)

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .algebra import euler_phi, divisors as all_divisors, primes_in
+from .algebra import divisors as all_divisors, primes_in
 from .cyclotomic import ramanujan_sum
 from .factorization import CONJECTURE_READINGS, ConjectureVerdict, conjecture_verdict
-from .structures import CycleStructure, m_of
 
 __all__ = [
     "TraceSystem",
@@ -72,9 +71,6 @@ class TraceSystem:
     ell_max: int  # largest ell with ell*(d-1) < k+1
     divisors: tuple[int, ...]
     S_table: tuple[tuple[int, ...], ...]  # row ell-1 holds S_ell(Phi_n) per n
-    # optional multiplicity identity a_0 + sum phi(n) a_n = m(1) - 1,
-    # stored as (coefficients over (a_0, a_n...), right-hand side)
-    mult_identity: tuple[tuple[int, ...], int] | None = None
 
     def rows(self) -> list[tuple[int, int, tuple[int, ...]]]:
         """(ell, d**ell, S-values) per constraint row."""
@@ -176,22 +172,19 @@ def threshold_covered(d: int, k: int) -> tuple[bool, str | None]:
     return False, None
 
 
-def build_trace_system(
-    d: int, k: int, structure: CycleStructure | None = None
-) -> TraceSystem:
+def build_trace_system(d: int, k: int) -> TraceSystem:
     """Constraint rows 0 = d^ell + sum_n a_n S_ell(Phi_n) for every ell with
-    ell*(d-1) < k+1 (strict), n ranging over the divisors of k above 1."""
+    ell*(d-1) < k+1 (strict), n ranging over the divisors of k above 1.
+    Every n divides k, so S_ell(Phi_n) = S_h(Phi_n) with h = gcd(ell, k):
+    one row per divisor h <= ell_max of k serves its whole gcd class."""
     if d < 2 or k < 2:
         raise ValueError("build_trace_system expects d >= 2 and k >= 2")
     ell_max = k // (d - 1)
-    divs = tuple(n for n in all_divisors(k) if n > 1)
-    table = tuple(
-        tuple(ramanujan_sum(ell, n) for n in divs) for ell in range(1, ell_max + 1)
-    )
-    ident = None
-    if structure is not None:
-        ident = ((1,) + tuple(euler_phi(n) for n in divs), m_of(structure, 1) - 1)
-    return TraceSystem(d, k, ell_max, divs, table, ident)
+    all_divs = all_divisors(k)
+    divs = tuple(all_divs[1:])
+    row = {h: tuple(ramanujan_sum(h, n) for n in divs) for h in all_divs if h <= ell_max}
+    table = tuple(row[gcd(ell, k)] for ell in range(1, ell_max + 1))
+    return TraceSystem(d, k, ell_max, divs, table)
 
 
 def check_infeasible(sys: TraceSystem) -> InfeasibilityResult:

@@ -95,6 +95,15 @@ def test_ramanujan_matches_numeric_power_sums() -> None:
             assert abs(ramanujan_sum(ell, n) - z.real) < 1e-6
 
 
+def test_ramanujan_matches_divisor_sum() -> None:
+    # oracle: c_n(ell) = sum_{j | gcd(n, ell)} mobius(n/j) * j
+    for n in range(1, 301):
+        for ell in range(1, 301):
+            g = math.gcd(n, ell)
+            oracle = sum(mobius(n // j) * j for j in divisors(g))
+            assert ramanujan_sum(ell, n) == oracle, (ell, n)
+
+
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=200))
 @settings(max_examples=80, deadline=None)
 def test_ramanujan_periodic_in_ell(ell: int, n: int) -> None:

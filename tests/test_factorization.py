@@ -96,6 +96,25 @@ def test_certify_irreducible_env_budget(monkeypatch: pytest.MonkeyPatch) -> None
     assert len(out.primes_used) == 6
 
 
+def test_certify_tower_stops_at_scan_cap(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Phi_12 does not divide F_{12,26}, so no peeled sample is ever usable;
+    # the scan must stop after 64 * budget primes p = 1 (mod 12)
+    monkeypatch.setenv("AMD_PRIME_BUDGET", "4")
+    scanned: list[int] = []
+    roots = factorization._primitive_ith_roots
+
+    def spy(i, p):
+        scanned.append(p)
+        if len(scanned) > 1000:
+            raise RuntimeError("tower scan did not stop")
+        return roots(i, p)
+
+    monkeypatch.setattr(factorization, "_primitive_ith_roots", spy)
+    assert factorization._certify_tower(12, 26, peel=True) == (False, ())
+    assert len(scanned) == 64 * 4
+    assert all((p - 1) % 12 == 0 for p in scanned)
+
+
 def test_certify_irreducible_linear_is_trivial() -> None:
     out = certify_irreducible(IntPoly((4, 1)))
     assert out.is_irreducible

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amdigraph.algebra import is_prime
+from amdigraph.algebra import divisors, is_prime
+from amdigraph.cyclotomic import ramanujan_sum
 from amdigraph.sieve import (
     LITERATURE,
     Certificate,
@@ -20,7 +21,6 @@ from amdigraph.sieve import (
     threshold_covered,
     validate_certificate,
 )
-from amdigraph.structures import CycleStructure
 
 
 def test_trace_system_6_11() -> None:
@@ -29,7 +29,6 @@ def test_trace_system_6_11() -> None:
     assert sys.divisors == (11,)
     assert sys.S_table == ((-1,), (-1,))
     assert sys.rows() == [(1, 6, (-1,)), (2, 36, (-1,))]
-    assert sys.mult_identity is None
 
 
 def test_trace_system_4_9() -> None:
@@ -39,11 +38,26 @@ def test_trace_system_4_9() -> None:
     assert sys.S_table == ((-1, 0), (-1, 0), (2, -3))
 
 
-def test_trace_system_pinned_structure_multiplicity_identity() -> None:
-    s = CycleStructure.from_map(11, 2, {1: 2, 3: 3})
-    sys = build_trace_system(5, 2, structure=s)
-    assert sys.ell_max == 0
-    assert sys.mult_identity == ((1, 1), 4)
+def _per_ell_table(k: int, ell_max: int) -> tuple[tuple[int, ...], ...]:
+    # the definition: one row per ell, with no gcd classes shared
+    divs = [n for n in divisors(k) if n > 1]
+    return tuple(
+        tuple(ramanujan_sum(ell, n) for n in divs) for ell in range(1, ell_max + 1)
+    )
+
+
+def test_trace_table_matches_per_ell_definition() -> None:
+    for k in range(2, 301):
+        table = build_trace_system(2, k).S_table
+        assert table == _per_ell_table(k, k)
+        for d in range(3, 13):
+            assert build_trace_system(d, k).S_table == table[: k // (d - 1)]
+
+
+@pytest.mark.parametrize("k", [5040, 20000])
+def test_trace_table_matches_per_ell_definition_large_k(k: int) -> None:
+    sys = build_trace_system(12, k)
+    assert sys.S_table == _per_ell_table(k, k // 11)
 
 
 def test_prime_witness_known_values() -> None:
