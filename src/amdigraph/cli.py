@@ -134,6 +134,13 @@ def _parse_range(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_dk_bounds(cmd: str, dlo: int, dhi: int, klo: int, khi: int) -> None:
+    # bounded work and output: a certificate holds every d^ell row exactly,
+    # and json refuses to print an int of more than 4300 digits
+    if dlo < 2 or dhi > _MAX_D or klo < 2 or khi > _MAX_K:
+        raise _UsageError(f"{cmd} requires 2 <= d <= {_MAX_D} and 2 <= k <= {_MAX_K}")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -156,8 +163,7 @@ def _map_cells(fn, cells, jobs: int):
 
 
 def _cmd_decide(args) -> int:
-    if args.d < 2 or args.k < 2:
-        raise _UsageError("decide requires d >= 2 and k >= 2")
+    _check_dk_bounds("decide", args.d, args.d, args.k, args.k)
     cert = decide(args.d, args.k)
     validate_certificate(cert)
     text = serialize_certificate(cert, deterministic=args.deterministic)
@@ -233,10 +239,7 @@ def _sweep_cell(cell: tuple[int, int]) -> tuple[int, int, str, str, int | None, 
 def _cmd_sweep(args) -> int:
     dlo, dhi = _parse_range(args.d)
     klo, khi = _parse_range(args.k)
-    if dlo < 2 or dhi > _MAX_D or klo < 2 or khi > _MAX_K:
-        raise _UsageError(
-            f"sweep requires 2 <= d <= {_MAX_D} and 2 <= k <= {_MAX_K}"
-        )
+    _check_dk_bounds("sweep", dlo, dhi, klo, khi)
     cells = [(d, k) for d in range(dlo, dhi + 1) for k in range(klo, khi + 1)]
     rows = _map_cells(_sweep_cell, cells, args.jobs)
     lines = ["d,k,verdict,method,witness,runtime_ms"]
@@ -325,8 +328,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("decide", help="decide one (d,k) cell, emit a certificate")
-    p.add_argument("d", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("d", type=int, help=f"degree (2..{_MAX_D})")
+    p.add_argument("k", type=int, help=f"diameter (2..{_MAX_K})")
     p.add_argument("--out", default=None)
     p.add_argument("--deterministic", action="store_true")
     p.set_defaults(fn=_cmd_decide)

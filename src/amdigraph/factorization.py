@@ -1,14 +1,21 @@
 """Rational factorization and irreducibility certificates for F_{i,k}.
 
-Three mechanisms, in increasing specialization:
+One degree-set engine, ``_intersect``, serves every certificate here.  It
+reads a stream of (prime, mod-p images), ANDs together the subset-sum
+closures of the images' factor-degree multisets, and stops at {0, deg}
+(irreducible), after a budget of contributing primes, or after 64 * budget
+primes scanned; it also counts the mod-p factors at each contributing prime.
+Never a false positive: every true rational factor degree survives in each
+closure.  The budget is AMD_PRIME_BUDGET (default 24) for the certifiers, 24
+for a bare ``factor_over_Q`` and every given prime for ``degree_set``.  Three
+users:
 
-* degree-set certification: intersect subset-sum closures of mod-p
-  factor-degree multisets across many primes; when the intersection collapses
-  to {0, deg} the polynomial is irreducible.  Never a false positive, since
-  every true rational factor degree survives in each closure.
-* full rational factorization: Hensel lifting of one mod-p factorization plus
-  recombination pruned by the degree set.  The reducible F_{i,k} split into
-  just two factors, which keeps recombination away from lattice reduction.
+* degree-set certification (``degree_set``, ``certify_irreducible``) over
+  the squarefree full-degree reductions that ``_reductions`` yields;
+* full rational factorization: Hensel lifting of one mod-p factorization,
+  at the prime with the fewest factors, plus recombination pruned by the
+  degree set.  The reducible F_{i,k} split into just two factors, which
+  keeps recombination away from lattice reduction;
 * tower sampling for F_{i,k} itself: writing s = 1 + x + ... + x^k, the
   composite F_{i,k} = Phi_i(s) is irreducible over Q as soon as s - zeta is
   irreducible over Q(zeta) for a primitive i-th root zeta (a root theta of
@@ -24,9 +31,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -158,14 +165,7 @@ def _closure_mask(degrees: Iterable[int]) -> int:
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    d = 0
-    while mask:
-        if mask & 1:
-            out.add(d)
-        mask >>= 1
-        d += 1
-    return frozenset(out)
+    return frozenset(d for d in range(mask.bit_length()) if mask >> d & 1)
 
 
 def _ddf_degrees(f: _gf.GFArray, p: int) -> list[int]:
@@ -174,13 +174,39 @@ def _ddf_degrees(f: _gf.GFArray, p: int) -> list[int]:
     return [d for prod, d in _gf.gf_distinct_degree_list(f, p) for _ in range(_gf.gf_degree(prod) // d)]
 
 
-def _usable_reduction(poly: IntPoly, p: int) -> _gf.GFArray | None:
-    if poly.lead % p == 0:
-        return None
-    f = _gf.gf_from_coeffs(poly.coeffs, p)
-    if not _gf.gf_is_squarefree(f, p):
-        return None
-    return f
+def _reductions(poly: IntPoly, primes: Iterable[int]) -> Iterator[tuple[int, list[_gf.GFArray]]]:
+    """(p, [poly mod p]) for each prime, or (p, []) when the reduction drops
+    degree or is not squarefree."""
+    for p in primes:
+        f = None if poly.lead % p == 0 else _gf.gf_from_coeffs(poly.coeffs, p)
+        yield p, [] if f is None or not _gf.gf_is_squarefree(f, p) else [f]
+
+
+def _intersect(
+    n: int, samples: Iterable[tuple[int, Iterable[_gf.GFArray]]], budget: int
+) -> tuple[int, dict[int, int]]:
+    """The degree-set engine: AND the closure masks of the squarefree
+    degree-n images in ``samples`` into one mask of possible factor degrees.
+
+    The mask is checked after every image and the scan returns once it is
+    {0, n}.  Otherwise it stops after ``budget`` primes with an image, or
+    after 64 * budget primes scanned (a repeated factor makes every image
+    unusable); the cap is applied before a prime's images are generated.
+    Returns the mask and, in scan order, the number of mod-p factors of the
+    first image at each prime that had one."""
+    target = 1 | (1 << n)
+    mask = (1 << (n + 1)) - 1
+    counts: dict[int, int] = {}
+    for p, images in islice(samples, 64 * budget):
+        for f in images:
+            degs = _ddf_degrees(f, p)
+            counts.setdefault(p, len(degs))
+            mask &= _closure_mask(degs)
+            if mask == target:
+                return mask, counts
+        if len(counts) >= budget:
+            break
+    return mask, counts
 
 
 def degree_set(poly: IntPoly, primes: Sequence[int]) -> frozenset[int]:
@@ -193,63 +219,38 @@ def degree_set(poly: IntPoly, primes: Sequence[int]) -> frozenset[int]:
     """
     if poly.degree < 1:
         raise ValueError("degree_set expects a nonconstant polynomial")
-    mask = (1 << (poly.degree + 1)) - 1
-    used = 0
-    for p in primes:
-        f = _usable_reduction(poly, p)
-        if f is None:
-            continue
-        used += 1
-        mask &= _closure_mask(_ddf_degrees(f, p))
-    if used == 0:
+    mask, counts = _intersect(poly.degree, _reductions(poly, primes), len(primes))
+    if not counts:
         raise NoUsablePrime("no prime gave a squarefree full-degree reduction")
     return _mask_to_set(mask)
 
 
-def certify_irreducible(
-    poly: IntPoly, budget: int | None = None
-) -> IrreducibilityOutcome:
+def certify_irreducible(poly: IntPoly) -> IrreducibilityOutcome:
     """Degree-set certification over an adaptive ascending prime sequence.
 
     Irreducible when the intersected closure shrinks to {0, deg}; Unknown
-    once the usable-prime budget runs out (default from the AMD_PRIME_BUDGET
-    environment variable).  Small inputs never stay Unknown: when the degree
-    set cannot separate (composite cyclotomic towers force a proper subset
-    sum at every prime), the verdict is completed by factoring outright.
-    Never falsely Irreducible.
+    once the usable-prime budget (the AMD_PRIME_BUDGET environment variable)
+    or the scan cap runs out.  Small irreducible inputs never stay Unknown:
+    when the degree set cannot separate (composite cyclotomic towers force a
+    proper subset sum at every prime), the verdict is completed by factoring
+    outright.  Never falsely Irreducible.
     """
-    if budget is None:
-        budget = _env_budget()
     n = poly.degree
     if n < 1:
         raise ValueError("certify_irreducible expects a nonconstant polynomial")
     if n == 1:
         return IrreducibilityOutcome("Irreducible", (), frozenset({0, 1}))
-    target = 1 | (1 << n)
-    mask = (1 << (n + 1)) - 1
-    counts: dict[int, int] = {}  # usable prime -> number of mod-p factors
-    # scan cap: a repeated factor makes every reduction non-squarefree
-    for scanned, p in enumerate(prime_range_from(_PRIME_FLOOR)):
-        if scanned >= 64 * budget:
-            break
-        f = _usable_reduction(poly, p)
-        if f is None:
-            continue
-        degs = _ddf_degrees(f, p)
-        counts[p] = len(degs)
-        mask &= _closure_mask(degs)
-        if mask == target:
-            return IrreducibilityOutcome("Irreducible", tuple(counts), _mask_to_set(mask))
-        if len(counts) >= budget:
-            break
-    if n <= _FULL_FACTOR_DEGREE:
+    scan = _intersect(n, _reductions(poly, prime_range_from(_PRIME_FLOOR)), _env_budget())
+    mask, counts = scan
+    status = "Irreducible" if mask == 1 | (1 << n) else "Unknown"
+    if status == "Unknown" and n <= _FULL_FACTOR_DEGREE:
         try:
-            factors, _ = _factor_over_Q(poly, _DEGREE_CAP, scan=(mask, counts))
+            factors, _ = _factor_over_Q(poly, _DEGREE_CAP, scan=scan)
         except (NotSquarefree, ValueError):
             factors = None
         if factors is not None and len(factors) == 1:
-            return IrreducibilityOutcome("Irreducible", tuple(counts), _mask_to_set(mask))
-    return IrreducibilityOutcome("Unknown", tuple(counts), _mask_to_set(mask))
+            status = "Irreducible"
+    return IrreducibilityOutcome(status, tuple(counts), _mask_to_set(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +347,14 @@ def _factor_over_Q(
 
     # squarefreeness: one squarefree modular image proves it; confirm the
     # negative exactly before raising
-    usable = False
-    for scanned, p in enumerate(prime_range_from(_PRIME_FLOOR)):
-        if _usable_reduction(f, p) is not None:
-            usable = True
-            break
-        if scanned >= 40:
-            break
-    if not usable:
+    def usable(scan_cap: int) -> bool:
+        return any(images for _, images in islice(_reductions(f, prime_range_from(_PRIME_FLOOR)), scan_cap))
+
+    if not usable(41):
         if not _rational_gcd_is_constant(f, f.derivative()):
             raise NotSquarefree("polynomial shares a factor with its derivative")
-        for scanned, p in enumerate(prime_range_from(_PRIME_FLOOR)):
-            if _usable_reduction(f, p) is not None:
-                usable = True
-                break
-            if scanned >= 4000:
-                raise NoUsablePrime("no prime gave a squarefree reduction")
+        if not usable(4001):
+            raise NoUsablePrime("no prime gave a squarefree reduction")
     if n > degree_cap:
         return None, ()
 
@@ -369,32 +362,17 @@ def _factor_over_Q(
         return [poly], ()
 
     # degree-set pruning mask; negating poly leaves every mod-p degree alone
-    if scan is not None:
-        mask, counts = scan
-    else:
-        counts = {}
-        mask = (1 << (n + 1)) - 1
-        for p in prime_range_from(_PRIME_FLOOR):
-            img = _usable_reduction(f, p)
-            if img is None:
-                continue
-            degs = _ddf_degrees(img, p)
-            counts[p] = len(degs)
-            mask &= _closure_mask(degs)
-            if mask == (1 | (1 << n)) or len(counts) >= _PRIME_BUDGET:
-                break
+    if scan is None:
+        scan = _intersect(n, _reductions(f, prime_range_from(_PRIME_FLOOR)), _PRIME_BUDGET)
+    mask, counts = scan
     if mask == (1 | (1 << n)):
         return [poly], tuple(counts)
 
     # Hensel prime: the first with the fewest mod-p factors among the first
     # five usable primes; the counts past the end of a shorter scan come here
     sample = list(counts.items())[:5]
-    for p in prime_range_from(max(counts, default=_PRIME_FLOOR - 1) + 1):
-        if len(sample) >= 5:
-            break
-        img = _usable_reduction(f, p)
-        if img is not None:
-            sample.append((p, len(_ddf_degrees(img, p))))
+    rest = _reductions(f, prime_range_from(max(counts, default=_PRIME_FLOOR - 1) + 1))
+    sample += _intersect(n, rest, 5 - len(sample))[1].items()
     hensel_p = min(sample, key=lambda pc: pc[1])[0]
     _, mod_facs = _gf.gf_factor(_gf.gf_from_coeffs(f.coeffs, hensel_p), hensel_p)
     primes_used = tuple(sorted(set(counts) | {hensel_p}))
@@ -521,33 +499,21 @@ def _certify_tower(i: int, k: int, peel: bool) -> tuple[bool, tuple[int, ...]]:
     by intersecting degree-set closures of the residue samples at primes
     p = 1 (mod i).  Sound regardless of sample correlations.
 
-    The mask is checked after every sample: once it reaches {0, deg} the
-    remaining roots at that prime are skipped, and the prime, which has
-    contributed, ends the list of primes used.  As in certify_irreducible,
-    the scan stops after 64 * budget primes (here p = 1 (mod i))."""
+    Each prime's samples are the images s - zbar, one per primitive i-th
+    root zbar, computed lazily: once the mask reaches {0, deg} the remaining
+    roots are skipped, and the prime, which has contributed, ends the list
+    of primes used."""
     deg = k - 1 if peel else k
-    target = 1 | (1 << deg)
-    mask = (1 << (deg + 1)) - 1
-    budget = _env_budget()
-    used: list[int] = []
-    primes = (p for p in prime_range_from(_PRIME_FLOOR) if (p - 1) % i == 0)
-    for scanned, p in enumerate(primes):
-        if scanned >= 64 * budget:
-            break
-        contributed = False
+
+    def samples(p: int) -> Iterator[_gf.GFArray]:
         for zbar in _primitive_ith_roots(i, p):
             f = _chain_minus_root(k, zbar, p, peel)
-            if f is None or not _gf.gf_is_squarefree(f, p):
-                continue
-            contributed = True
-            mask &= _closure_mask(_ddf_degrees(f, p))
-            if mask == target:
-                return True, tuple(used + [p])
-        if contributed:
-            used.append(p)
-            if len(used) >= budget:
-                break
-    return False, tuple(used)
+            if f is not None and _gf.gf_is_squarefree(f, p):
+                yield f
+
+    primes = (p for p in prime_range_from(_PRIME_FLOOR) if (p - 1) % i == 0)
+    mask, counts = _intersect(deg, ((p, samples(p)) for p in primes), _env_budget())
+    return mask == 1 | (1 << deg), tuple(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ class Certificate:
     k: int
     verdict: str  # "Exists" | "NotExistSelfRepeat" | "Unknown"
     method: str  # Known_k2 | Literature_k34 | Literature_d23 | PrimeWitness
-    #             | ThresholdOdd | ThresholdEven | ConjectureElimination
+    #             | ConjectureElimination
     witness: int | None
     ell_max: int
     divisors: tuple[int, ...]
@@ -348,10 +348,7 @@ def validate_certificate(cert: Certificate) -> bool:
         else:
             need(cert.verdict == "Unknown", "verdict mismatch")
     else:
-        need(cert.method in ("ThresholdOdd", "ThresholdEven"), "unknown method tag")
-        tag = "Odd" if cert.method == "ThresholdOdd" else "Even"
-        covered, got = threshold_covered(cert.d, cert.k)
-        need(covered and got == tag, "threshold branch mismatch")
+        need(False, "unknown method tag")
     if cert.assumptions:
         need(
             all(":" in a for a in cert.assumptions),

@@ -84,7 +84,7 @@ def test_criterion_1_conjecture_grid(capsys: pytest.CaptureFixture[str]) -> None
 
 def test_criterion_2_sweep_nonexistence(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
     problems: list[str] = []
-    allowed = {"PrimeWitness", "ThresholdOdd", "ThresholdEven", "ConjectureElimination"}
+    allowed = {"PrimeWitness", "ConjectureElimination"}
     by_method: dict[str, int] = {}
     t0 = time.monotonic()
     for d in range(6, 13):

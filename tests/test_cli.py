@@ -40,6 +40,15 @@ def test_decide_usage_errors_exit_one(capsys: pytest.CaptureFixture[str]) -> Non
     assert main(["sweep", "--d", "2..13", "--k", "3..4"]) == 1
 
 
+def test_decide_outside_caps_exits_one(capsys: pytest.CaptureFixture[str]) -> None:
+    # the caps keep certificates printable: json cannot print 2^20000
+    for d, k in (("2", "20000"), ("13", "5"), ("6", "301")):
+        assert main(["decide", d, k]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: decide requires 2 <= d <= 12 and 2 <= k <= 300" in captured.err
+
+
 def test_decide_unknown_exits_two(
     monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
 ) -> None:

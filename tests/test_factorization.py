@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amdigraph import _gf, factorization
@@ -10,6 +10,7 @@ from amdigraph.algebra import IntPoly, euler_phi, poly_divexact, poly_mul, prime
 from amdigraph.cyclotomic import build_F, cyclotomic
 from amdigraph.factorization import (
     BadPrime,
+    NoUsablePrime,
     NotSquarefree,
     certify_irreducible,
     conjecture_verdict,
@@ -68,6 +69,53 @@ def test_degree_set_shrinks_with_more_primes() -> None:
     assert more <= few
 
 
+def _reference_degree_set(poly: IntPoly, primes: list[int]) -> frozenset[int] | None:
+    """Intersect the subset-sum closures at every usable prime, with no early
+    exit and no cap, from sympy's factorizations mod p; None if no prime is
+    usable."""
+    x = sympy.Symbol("x")
+    expr = sum(c * x**j for j, c in enumerate(poly.coeffs))
+    out: frozenset[int] | None = None
+    for p in primes:
+        image = sympy.Poly(expr, x, modulus=p)
+        factors = image.factor_list()[1]
+        # squarefree from the multiplicities: sympy's is_sqf is wrong mod 2
+        if image.degree() != poly.degree or any(mult > 1 for _, mult in factors):
+            continue
+        closure = {0}
+        for base, _ in factors:
+            closure |= {c + base.degree() for c in closure}
+        out = frozenset(closure) if out is None else out & closure
+    return out
+
+
+@given(
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=6).filter(
+        lambda cs: cs[-1] != 0
+    ),
+    st.booleans(),
+    st.integers(min_value=2, max_value=150),
+    st.integers(min_value=0, max_value=60),
+)
+@example([1, 1, 1], False, 101, 100)  # x^2 + x + 1: irreducible mod 103, exits there
+@example([-1, 1], True, 2, 60)  # (x - 1)^2: no prime is usable
+@example([1, 1, 1], False, 24, 5)  # an empty window
+@settings(max_examples=60, deadline=None)
+def test_degree_set_matches_every_prime_reference(
+    coeffs: list[int], square: bool, lo: int, width: int
+) -> None:
+    poly = IntPoly(tuple(coeffs))
+    if square:
+        poly = poly_mul(poly, poly)
+    primes = primes_in(lo, lo + width)
+    expected = _reference_degree_set(poly, primes)
+    if expected is None:
+        with pytest.raises(NoUsablePrime):
+            degree_set(poly, primes)
+    else:
+        assert degree_set(poly, primes) == expected
+
+
 def test_certify_irreducible_known_cells() -> None:
     out = certify_irreducible(build_F(2, 5))
     assert out.is_irreducible
@@ -84,16 +132,12 @@ def test_certify_irreducible_reducible_input_stays_unknown() -> None:
     assert out.degree_set == frozenset({0, 1, 2})
 
 
-def test_certify_irreducible_budget_parameter() -> None:
-    out = certify_irreducible(IntPoly((-1, 0, 1)), budget=5)
-    assert out.status == "Unknown"
-    assert len(out.primes_used) == 5
-
-
 def test_certify_irreducible_env_budget(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setenv("AMD_PRIME_BUDGET", "6")
-    out = certify_irreducible(IntPoly((-1, 0, 1)))
-    assert len(out.primes_used) == 6
+    for budget in (5, 6):
+        monkeypatch.setenv("AMD_PRIME_BUDGET", str(budget))
+        out = certify_irreducible(IntPoly((-1, 0, 1)))
+        assert out.status == "Unknown"
+        assert len(out.primes_used) == budget
 
 
 def test_certify_tower_stops_at_scan_cap(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -90,6 +90,18 @@ def test_prime_witness_contract(d: int, k: int) -> None:
             assert prime_witness(smaller, k) is not None
 
 
+def test_prime_witness_covers_threshold_regions() -> None:
+    # why decide never needs a threshold method: wherever the paper's
+    # threshold theorem applies, a prime witness exists
+    uncovered = [
+        (d, k)
+        for d in range(6, 13)
+        for k in range(3, 5001)
+        if threshold_covered(d, k)[0] and prime_witness(d, k) is None
+    ]
+    assert uncovered == []
+
+
 def test_threshold_covered_branches() -> None:
     assert threshold_covered(6, 11) == (True, "Odd")
     assert threshold_covered(6, 50) == (True, "Even")
@@ -253,12 +265,13 @@ def test_validate_certificate_rejects_tampering() -> None:
 
 
 def test_validate_certificate_threshold_branch() -> None:
+    # decide finds the witness inside both threshold regions, so the
+    # validator knows no threshold method
     base = decide(6, 50)
-    assert base.method == "PrimeWitness"  # decide always finds the witness here
-    as_threshold = replace(base, method="ThresholdEven", witness=None)
-    assert validate_certificate(as_threshold)
-    with pytest.raises(CertificateError, match="threshold branch"):
-        validate_certificate(replace(base, method="ThresholdOdd", witness=None))
+    assert base.method == "PrimeWitness"
+    for method in ("ThresholdEven", "ThresholdOdd"):
+        with pytest.raises(CertificateError, match="unknown method tag"):
+            validate_certificate(replace(base, method=method, witness=None))
 
 
 def test_validate_certificate_unknown_requires_no_coverage() -> None:
