@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -149,10 +150,13 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _map_cells(fn, cells, jobs: int):
-    if jobs > 1 and len(cells) > 1:
+    if jobs < 1:
+        raise _UsageError("--jobs must be at least 1")
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         from multiprocessing import Pool
 
-        with Pool(jobs) as pool:
+        with Pool(workers) as pool:
             return pool.map(fn, cells)
     return [fn(cell) for cell in cells]
 

@@ -7,8 +7,13 @@ closures of the images' factor-degree multisets, and stops at {0, deg}
 primes scanned; it also counts the mod-p factors at each contributing prime.
 Never a false positive: every true rational factor degree survives in each
 closure.  The budget is AMD_PRIME_BUDGET (default 24) for the certifiers, 24
-for a bare ``factor_over_Q`` and every given prime for ``degree_set``.  Three
-users:
+for a bare ``factor_over_Q`` and every given prime for ``degree_set``.
+
+The scan from _PRIME_FLOOR and the rational factorization are memoised per
+(sign-normalised polynomial, budget) in bounded caches (``_CACHE_SIZE``
+entries each), so ``certify_irreducible`` after ``factor_over_Q`` on the same
+polynomial, or the reverse, reuses the scan and the Hensel factorization
+instead of repeating them.  Three users:
 
 * degree-set certification (``degree_set``, ``certify_irreducible``) over
   the squarefree full-degree reductions that ``_reductions`` yields;
@@ -72,6 +77,7 @@ __all__ = [
 _PRIME_FLOOR = 101
 _PRIME_BUDGET = 24
 _DEGREE_CAP = 1600
+_CACHE_SIZE = 128  # entries in each of the _scan and _factor_over_Q caches
 
 
 class BadPrime(ValueError):
@@ -209,6 +215,20 @@ def _intersect(
     return mask, counts
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _scan(f: IntPoly, budget: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``_intersect`` over the reductions of f at the primes from
+    _PRIME_FLOOR up: the mask and the (prime, factor count) pairs in scan
+    order.  Negating f changes no mod-p degree, so callers pass f with a
+    positive leading coefficient and share one entry."""
+    mask, counts = _intersect(f.degree, _reductions(f, prime_range_from(_PRIME_FLOOR)), budget)
+    return mask, tuple(counts.items())
+
+
+def _positive(poly: IntPoly) -> IntPoly:
+    return -poly if poly.lead < 0 else poly
+
+
 def degree_set(poly: IntPoly, primes: Sequence[int]) -> frozenset[int]:
     """Possible rational factor degrees: intersection over usable primes of
     the subset-sum closures of the mod-p degree multisets.
@@ -240,17 +260,17 @@ def certify_irreducible(poly: IntPoly) -> IrreducibilityOutcome:
         raise ValueError("certify_irreducible expects a nonconstant polynomial")
     if n == 1:
         return IrreducibilityOutcome("Irreducible", (), frozenset({0, 1}))
-    scan = _intersect(n, _reductions(poly, prime_range_from(_PRIME_FLOOR)), _env_budget())
-    mask, counts = scan
+    f, budget = _positive(poly), _env_budget()
+    mask, counts = _scan(f, budget)
     status = "Irreducible" if mask == 1 | (1 << n) else "Unknown"
     if status == "Unknown" and n <= _FULL_FACTOR_DEGREE:
         try:
-            factors, _ = _factor_over_Q(poly, _DEGREE_CAP, scan=scan)
+            factors, _ = _factor_over_Q(f, _DEGREE_CAP, budget)
         except (NotSquarefree, ValueError):
             factors = None
         if factors is not None and len(factors) == 1:
             status = "Irreducible"
-    return IrreducibilityOutcome(status, tuple(counts), _mask_to_set(mask))
+    return IrreducibilityOutcome(status, tuple(p for p, _ in counts), _mask_to_set(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -325,24 +345,23 @@ def _l2_norm_ceil(f: IntPoly) -> int:
     return isqrt(sum(c * c for c in f.coeffs)) + 1
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _factor_over_Q(
-    poly: IntPoly, degree_cap: int, scan: tuple[int, dict[int, int]] | None = None
-) -> tuple[list[IntPoly] | None, tuple[int, ...]]:
-    """Factor poly over Q; also returns the primes the result rests on.
+    f: IntPoly, degree_cap: int, budget: int
+) -> tuple[tuple[IntPoly, ...] | None, tuple[int, ...]]:
+    """Factor f (leading coefficient positive) over Q; also returns the
+    primes the result rests on.
 
-    ``scan`` is a degree-set pass already made over poly (the intersected
-    closure mask, and the number of mod-p factors at each usable prime it
-    scanned, in ascending order from _PRIME_FLOOR, as in
-    certify_irreducible); without it the pruning mask comes from a pass of
-    its own over up to _PRIME_BUDGET primes.  The scan's counts choose the
-    Hensel prime, so only that prime is factored mod p.
+    The pruning mask and the Hensel prime come from ``_scan(f, budget)``:
+    its counts choose the Hensel prime, so only that prime is factored mod p.
+    Callers pass the arguments positionally, so that every caller of one
+    polynomial hits the same cache entry.
     """
-    if poly.degree < 1:
+    if f.degree < 1:
         raise ValueError("factor_over_Q expects a nonconstant polynomial")
-    if poly.content() != 1:
+    if f.content() != 1:
         raise ValueError("factor_over_Q expects a primitive polynomial")
-    sign_flip = poly.lead < 0
-    f = -poly if sign_flip else poly
+    assert f.lead > 0
     n = f.degree
 
     # squarefreeness: one squarefree modular image proves it; confirm the
@@ -359,25 +378,24 @@ def _factor_over_Q(
         return None, ()
 
     if n == 1:
-        return [poly], ()
+        return (f,), ()
 
-    # degree-set pruning mask; negating poly leaves every mod-p degree alone
-    if scan is None:
-        scan = _intersect(n, _reductions(f, prime_range_from(_PRIME_FLOOR)), _PRIME_BUDGET)
-    mask, counts = scan
+    # degree-set pruning mask
+    mask, counts = _scan(f, budget)
+    scanned = tuple(p for p, _ in counts)
     if mask == (1 | (1 << n)):
-        return [poly], tuple(counts)
+        return (f,), scanned
 
     # Hensel prime: the first with the fewest mod-p factors among the first
     # five usable primes; the counts past the end of a shorter scan come here
-    sample = list(counts.items())[:5]
-    rest = _reductions(f, prime_range_from(max(counts, default=_PRIME_FLOOR - 1) + 1))
+    sample = list(counts[:5])
+    rest = _reductions(f, prime_range_from(max(scanned, default=_PRIME_FLOOR - 1) + 1))
     sample += _intersect(n, rest, 5 - len(sample))[1].items()
     hensel_p = min(sample, key=lambda pc: pc[1])[0]
     _, mod_facs = _gf.gf_factor(_gf.gf_from_coeffs(f.coeffs, hensel_p), hensel_p)
-    primes_used = tuple(sorted(set(counts) | {hensel_p}))
+    primes_used = tuple(sorted(set(scanned) | {hensel_p}))
     if len(mod_facs) == 1:
-        return [poly], primes_used
+        return (f,), primes_used
 
     # lift modulus: beyond twice the factor-coefficient bound (Mignotte)
     lc = f.lead
@@ -422,10 +440,8 @@ def _factor_over_Q(
     if f_cur.degree >= 1:
         found.append(f_cur)
     found.sort(key=lambda g: (g.degree, g.coeffs))
-    if sign_flip:
-        found[0] = -found[0]
-    assert _prod(found) == poly
-    return found, primes_used
+    assert _prod(found) == f
+    return tuple(found), primes_used
 
 
 def factor_over_Q(poly: IntPoly, degree_cap: int = _DEGREE_CAP) -> list[IntPoly] | None:
@@ -433,9 +449,16 @@ def factor_over_Q(poly: IntPoly, degree_cap: int = _DEGREE_CAP) -> list[IntPoly]
 
     Hensel lifting of a mod-p factorization with recombination pruned by the
     degree set.  Returns None (Unresolved) when deg(poly) exceeds degree_cap;
-    raises NotSquarefree when gcd(poly, poly') is nonconstant.
+    raises NotSquarefree when gcd(poly, poly') is nonconstant.  A negative
+    leading coefficient goes to the first factor.
     """
-    return _factor_over_Q(poly, degree_cap)[0]
+    factors = _factor_over_Q(_positive(poly), degree_cap, _PRIME_BUDGET)[0]
+    if factors is None:
+        return None
+    out = list(factors)
+    if poly.lead < 0:
+        out[0] = -out[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +551,7 @@ def _observe(i: int, k: int) -> FactorReport:
     n = F.degree
 
     if n <= _FULL_FACTOR_DEGREE:
-        factors, primes = _factor_over_Q(F, _DEGREE_CAP)
+        factors, primes = _factor_over_Q(F, _DEGREE_CAP, _PRIME_BUDGET)
         assert factors is not None
         verdict = "Irreducible" if len(factors) == 1 else "Reducible"
         return FactorReport(
@@ -539,7 +562,7 @@ def _observe(i: int, k: int) -> FactorReport:
             factor_degrees=tuple(sorted(g.degree for g in factors)),
             certificate_kind="FullFactorization",
             primes_used=primes,
-            factors=tuple(factors),
+            factors=factors,
         )
 
     try:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -119,6 +121,45 @@ def test_sweep_parallel_jobs_matches_serial(tmp_path: Path, capsys: pytest.Captu
     assert main(["sweep", "--d", "4..5", "--k", "5..9", "--deterministic", "--jobs", "2", "--out", str(parallel)]) == 0
     capsys.readouterr()
     assert serial.read_text() == parallel.read_text()
+
+
+def test_jobs_below_one_exits_one(capsys: pytest.CaptureFixture[str]) -> None:
+    for jobs in ("0", "-3"):
+        assert main(["conjecture", "--i", "3..4", "--k", "5..8", f"--jobs={jobs}"]) == 1
+        assert main(["sweep", "--d", "6..6", "--k", "5..6", f"--jobs={jobs}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("--jobs must be at least 1") == 2
+
+
+def test_jobs_start_at_most_one_worker_per_cell_and_cpu(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    started: list[int] = []
+
+    class FakePool:
+        # records the process count and maps in this process
+        def __init__(self, processes: int) -> None:
+            started.append(processes)
+
+        def __enter__(self) -> "FakePool":
+            return self
+
+        def __exit__(self, *exc) -> None:
+            return None
+
+        def map(self, fn, cells):
+            return [fn(cell) for cell in cells]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert main(["conjecture", "--i", "3..4", "--k", "5..8", "--jobs", "100000"]) == 0  # 8 cells
+    assert main(["conjecture", "--i", "3..3", "--k", "5..7", "--jobs", "100000"]) == 0  # 3 cells
+    assert main(["sweep", "--d", "6..6", "--k", "5..9", "--jobs", "2"]) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
+    assert main(["conjecture", "--i", "3..4", "--k", "5..8", "--jobs", "100000"]) == 0
+    capsys.readouterr()
+    assert started == [4, 3, 2]
 
 
 def test_conjecture_summary_and_cell_files(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:

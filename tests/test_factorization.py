@@ -435,10 +435,88 @@ def test_factor_over_Q_factors_mod_p_once(monkeypatch: pytest.MonkeyPatch) -> No
             expected = _five_prime_hensel_choice(F)
             with monkeypatch.context() as m:
                 factored = _record_gf_factor(m)
-                factors, primes = factorization._factor_over_Q(F, factorization._DEGREE_CAP)
+                factors, primes = factorization._factor_over_Q(
+                    F, factorization._DEGREE_CAP, factorization._PRIME_BUDGET
+                )
             assert factors is not None
             if len(factors) > 1:
                 reducible += 1
                 assert factored == [expected]
                 assert expected in primes
     assert reducible == 10
+
+
+def _clear_caches() -> None:
+    factorization._scan.cache_clear()
+    factorization._factor_over_Q.cache_clear()
+
+
+def _count_fp_calls(monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
+    """Spy on the mod-p DDF and full factorization: the returned dict counts
+    the calls of each."""
+    calls = {"gf_distinct_degree_list": 0, "gf_factor": 0}
+    for name in calls:
+
+        def spy(*args, _name=name, _original=getattr(_gf, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(_gf, name, spy)
+    return calls
+
+
+def test_certify_irreducible_after_factor_over_Q_reuses_the_analysis(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    F = build_F(5, 8)  # reducible, degree 32: the certifier falls back to factoring
+    cold = certify_irreducible(F)
+    _clear_caches()
+    factor_over_Q(F)
+    calls = _count_fp_calls(monkeypatch)
+    assert certify_irreducible(F) == cold
+    assert calls == {"gf_distinct_degree_list": 0, "gf_factor": 0}
+
+
+def test_factor_over_Q_after_certify_irreducible_reuses_the_analysis(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    F = build_F(5, 8)
+    cold = factor_over_Q(F)
+    _clear_caches()
+    certify_irreducible(F)
+    calls = _count_fp_calls(monkeypatch)
+    assert factor_over_Q(F) == cold
+    assert calls == {"gf_distinct_degree_list": 0, "gf_factor": 0}
+
+
+def test_certify_irreducible_budget_change_is_not_served_a_stale_scan(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    F = build_F(5, 8)
+    assert len(certify_irreducible(F).primes_used) == 24
+    monkeypatch.setenv("AMD_PRIME_BUDGET", "5")
+    out = certify_irreducible(F)
+    assert out.status == "Unknown"
+    assert out.primes_used == (101, 103, 107, 109, 113)
+
+
+def test_certify_irreducible_of_negation_shares_the_entry(monkeypatch: pytest.MonkeyPatch) -> None:
+    F = build_F(5, 8)
+    out = certify_irreducible(F)
+    calls = _count_fp_calls(monkeypatch)
+    assert certify_irreducible(-F) == out
+    assert calls == {"gf_distinct_degree_list": 0, "gf_factor": 0}
+
+
+def test_factor_over_Q_returns_a_fresh_list() -> None:
+    F = build_F(5, 8)
+    first = factor_over_Q(F)
+    assert first is not None
+    expected = list(first)
+    first[0] = IntPoly.one()
+    first.append(F)
+    assert factor_over_Q(F) == expected
+    # the sign of -F goes to a copy, not to the shared entry
+    negated = factor_over_Q(-F)
+    assert negated == [-expected[0]] + expected[1:]
+    assert factor_over_Q(F) == expected
