@@ -9,120 +9,19 @@ prime witnesses, permutation cycle-structure enumeration, and machine
 verification of the structural theorems on constructed (d,2) instances.
 """
 
-from .algebra import IntPoly, euler_phi, is_prime, mobius, multiplicative_order
-from .cyclotomic import build_F, chain_poly, cyclotomic, ramanujan_sum
-from .digraphs import (
-    Digraph,
-    InNeighborhoodProfile,
-    MooreCheck,
-    NotAlmostMoore,
-    NotDiregular,
-    OrderMismatch,
-    StructuralViolation,
-    SubdigraphReport,
-    build_H_alpha,
-    check_fixed_walks,
-    check_rk_closed,
-    check_subdigraph_theorem,
-    gen_line_digraph_complete,
-    profile_in_neighborhood,
-    r_set_size,
-    run_battery,
-    verify_moore,
-)
-from .factorization import (
-    CONJECTURE_READINGS,
-    ConjectureVerdict,
-    FactorReport,
-    IrreducibilityOutcome,
-    certify_irreducible,
-    conjecture_verdict,
-    degree_set,
-    factor_mod_p,
-    factor_over_Q,
-    split_index,
-)
-from .sieve import (
-    Certificate,
-    CertificateError,
-    CheckedCell,
-    InfeasibilityResult,
-    TraceSystem,
-    build_trace_system,
-    check_infeasible,
-    decide,
-    prime_witness,
-    threshold_covered,
-    validate_certificate,
-)
-from .structures import (
-    CycleStructure,
-    OrderSpectrum,
-    char_poly_JP,
-    char_poly_P,
-    enumerate_structures,
-    is_two_critical,
-    lcm_closure,
-    m_of,
-)
+from .cyclotomic import build_F
+from .factorization import certify_irreducible, factor_over_Q
+from .sieve import decide, validate_certificate
+from .structures import enumerate_structures
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "IntPoly",
-    "euler_phi",
-    "is_prime",
-    "mobius",
-    "multiplicative_order",
     "build_F",
-    "chain_poly",
-    "cyclotomic",
-    "ramanujan_sum",
-    "CONJECTURE_READINGS",
-    "ConjectureVerdict",
-    "FactorReport",
-    "IrreducibilityOutcome",
     "certify_irreducible",
-    "conjecture_verdict",
-    "degree_set",
-    "factor_mod_p",
-    "factor_over_Q",
-    "split_index",
-    "CycleStructure",
-    "OrderSpectrum",
-    "char_poly_JP",
-    "char_poly_P",
-    "enumerate_structures",
-    "is_two_critical",
-    "lcm_closure",
-    "m_of",
-    "Certificate",
-    "CertificateError",
-    "CheckedCell",
-    "InfeasibilityResult",
-    "TraceSystem",
-    "build_trace_system",
-    "check_infeasible",
     "decide",
-    "prime_witness",
-    "threshold_covered",
+    "enumerate_structures",
+    "factor_over_Q",
     "validate_certificate",
-    "Digraph",
-    "InNeighborhoodProfile",
-    "MooreCheck",
-    "NotAlmostMoore",
-    "NotDiregular",
-    "OrderMismatch",
-    "StructuralViolation",
-    "SubdigraphReport",
-    "build_H_alpha",
-    "check_fixed_walks",
-    "check_rk_closed",
-    "check_subdigraph_theorem",
-    "gen_line_digraph_complete",
-    "profile_in_neighborhood",
-    "r_set_size",
-    "run_battery",
-    "verify_moore",
 ]

@@ -1,7 +1,8 @@
 """Dense polynomial arithmetic over prime fields F_p.
 
-Internal kernel behind factor_mod_p / degree-set certification.  Polynomials
-are numpy int64 arrays, ascending coefficients, residues in [0, p), trimmed.
+Internal kernel behind degree-set certification and Hensel factoring.
+Polynomials are numpy int64 arrays, ascending coefficients, residues in
+[0, p), trimmed.
 
 Arithmetic modulo a fixed f of degree n goes through PolyMod, which
 precomputes x^(n+j) mod f once (Shoup's precomputed-modulus arithmetic, as in
@@ -59,14 +60,6 @@ def gf_x() -> GFArray:
 
 def gf_degree(a: GFArray) -> int:
     return len(a) - 1
-
-
-def gf_add(a: GFArray, b: GFArray, p: int) -> GFArray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] = (out[: len(b)] + b) % p
-    return gf_trim(out)
 
 
 def gf_sub(a: GFArray, b: GFArray, p: int) -> GFArray:
@@ -331,20 +324,9 @@ def gf_distinct_degree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
     return out
 
 
-def gf_degree_multiset(f: GFArray, p: int) -> list[int]:
-    """Degrees (with multiplicity) of the irreducible factors of f mod p.
-
-    Accepts non-squarefree input; degrees of repeated factors repeat.
-    """
-    out: list[int] = []
-    for sqf, mult in gf_squarefree_list(f, p):
-        for prod, d in gf_distinct_degree_list(sqf, p):
-            out.extend([d] * (gf_degree(prod) // d) * mult)
-    return sorted(out)
-
-
 def gf_equal_degree_split(f: GFArray, d: int, p: int, rng: random.Random) -> list[GFArray]:
-    """Cantor-Zassenhaus: split monic squarefree f, all factors of degree d."""
+    """Cantor-Zassenhaus: split monic squarefree f, all factors of degree d,
+    p odd."""
     n = gf_degree(f)
     if n == d:
         return [f]
@@ -358,37 +340,31 @@ def gf_equal_degree_split(f: GFArray, d: int, p: int, rng: random.Random) -> lis
         if 0 < gf_degree(g) < n:
             h = gf_divmod(f, g, p)[0]
             break
-        if p == 2:
-            # trace map sum a^(2^i), i < d
-            t = gf_zero()
-            b = a
-            for _ in range(d):
-                t = gf_add(t, b, p)
-                b = ctx.mul(b, b)
-            g = gf_gcd(f, t, p)
-        else:
-            b = ctx.pow(a, (p**d - 1) // 2)
-            g = gf_gcd(f, gf_sub(b, gf_one(), p), p)
+        b = ctx.pow(a, (p**d - 1) // 2)
+        g = gf_gcd(f, gf_sub(b, gf_one(), p), p)
         if 0 < gf_degree(g) < n:
             h = gf_divmod(f, g, p)[0]
             break
     return gf_equal_degree_split(g, d, p, rng) + gf_equal_degree_split(h, d, p, rng)
 
 
-def gf_factor(f: GFArray, p: int) -> tuple[int, list[tuple[GFArray, int]]]:
-    """Full factorization mod p: (leading unit, [(monic irreducible, mult)]).
+def gf_factor(f: GFArray, p: int) -> list[GFArray]:
+    """Monic irreducible factors of squarefree f mod an odd prime p, sorted
+    by degree, then coefficients.
 
     Deterministic: the equal-degree randomness is seeded from (f, p).
     """
     if len(f) == 0:
         raise ValueError("zero polynomial")
-    lead = int(f[-1]) % p
+    if p == 2:
+        raise ValueError("gf_factor expects an odd prime")
     seed = hash((p,) + tuple(int(c) for c in f)) & 0xFFFFFFFF
     rng = random.Random(seed)
-    out: list[tuple[GFArray, int]] = []
+    out: list[GFArray] = []
     for sqf, mult in gf_squarefree_list(f, p):
+        if mult != 1:
+            raise ValueError("gf_factor expects a squarefree polynomial")
         for prod, d in gf_distinct_degree_list(sqf, p):
-            for irr in gf_equal_degree_split(prod, d, p, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda t: (gf_degree(t[0]), tuple(int(c) for c in t[0])))
-    return lead, out
+            out.extend(gf_equal_degree_split(prod, d, p, rng))
+    out.sort(key=lambda g: (gf_degree(g), tuple(int(c) for c in g)))
+    return out

@@ -165,22 +165,10 @@ class IntPoly:
     def scale(self, c: int) -> "IntPoly":
         return IntPoly(tuple(c * a for a in self.coeffs))
 
-    def shift(self, n: int) -> "IntPoly":
-        """Multiply by x**n."""
-        if not self.coeffs:
-            return self
-        return IntPoly((0,) * n + self.coeffs)
-
-    # -- calculus / evaluation --------------------------------------------
+    # -- calculus --------------------------------------------------------
 
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(j * c for j, c in enumerate(self.coeffs))[1:])
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def content(self) -> int:
         g = 0
@@ -195,9 +183,6 @@ class IntPoly:
         if g in (0, 1):
             return self
         return IntPoly(tuple(c // g for c in self.coeffs))
-
-    def max_norm(self) -> int:
-        return max((abs(c) for c in self.coeffs), default=0)
 
 
 def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -390,14 +375,3 @@ def divisors(n: int) -> list[int]:
         out = [d * p**a for d in out for a in range(e + 1)]
     return sorted(out)
 
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/n)*; requires gcd(a, n) = 1."""
-    if gcd(a, n) != 1:
-        raise ValueError("element is not a unit")
-    # order divides phi; strip prime factors greedily
-    order = euler_phi(n)
-    for p in factorize(order):
-        while order % p == 0 and pow(a, order // p, n) == 1:
-            order //= p
-    return order

@@ -36,6 +36,9 @@ SCHEMA_VERSION = 1
 
 _MAX_D = 12
 _MAX_K = 300
+_MAX_I = 30
+# inclusive (lowest, highest) value of d, i and k on the command line
+_BOUNDS = {"d": (2, _MAX_D), "i": (3, _MAX_I), "k": (2, _MAX_K)}
 
 
 class _UsageError(Exception):
@@ -135,11 +138,13 @@ def _parse_range(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_dk_bounds(cmd: str, dlo: int, dhi: int, klo: int, khi: int) -> None:
+def _check_bounds(cmd: str, **ranges: tuple[int, int]) -> None:
     # bounded work and output: a certificate holds every d^ell row exactly,
-    # and json refuses to print an int of more than 4300 digits
-    if dlo < 2 or dhi > _MAX_D or klo < 2 or khi > _MAX_K:
-        raise _UsageError(f"{cmd} requires 2 <= d <= {_MAX_D} and 2 <= k <= {_MAX_K}")
+    # and json refuses to print an int of more than 4300 digits; factoring
+    # F_{i,k} slows fast in i and k; an oracle instance has d(d+1) vertices
+    if any(lo < _BOUNDS[n][0] or hi > _BOUNDS[n][1] for n, (lo, hi) in ranges.items()):
+        caps = " and ".join(f"{_BOUNDS[n][0]} <= {n} <= {_BOUNDS[n][1]}" for n in ranges)
+        raise _UsageError(f"{cmd} requires {caps}")
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -167,7 +172,7 @@ def _map_cells(fn, cells, jobs: int):
 
 
 def _cmd_decide(args) -> int:
-    _check_dk_bounds("decide", args.d, args.d, args.k, args.k)
+    _check_bounds("decide", d=(args.d, args.d), k=(args.k, args.k))
     cert = decide(args.d, args.k)
     validate_certificate(cert)
     text = serialize_certificate(cert, deterministic=args.deterministic)
@@ -201,8 +206,7 @@ def _conjecture_cell(cell: tuple[int, int]) -> dict:
 def _cmd_conjecture(args) -> int:
     ilo, ihi = _parse_range(args.i)
     klo, khi = _parse_range(args.k)
-    if ilo <= 2 or klo <= 1:
-        raise _UsageError("conjecture requires i > 2 and k > 1")
+    _check_bounds("conjecture", i=(ilo, ihi), k=(klo, khi))
     cells = [(i, k) for i in range(ilo, ihi + 1) for k in range(klo, khi + 1)]
     rows = _map_cells(_conjecture_cell, cells, args.jobs)
     counts = {"Consistent": 0, "Inconsistent": 0, "Unresolved": 0}
@@ -243,7 +247,7 @@ def _sweep_cell(cell: tuple[int, int]) -> tuple[int, int, str, str, int | None, 
 def _cmd_sweep(args) -> int:
     dlo, dhi = _parse_range(args.d)
     klo, khi = _parse_range(args.k)
-    _check_dk_bounds("sweep", dlo, dhi, klo, khi)
+    _check_bounds("sweep", d=(dlo, dhi), k=(klo, khi))
     cells = [(d, k) for d in range(dlo, dhi + 1) for k in range(klo, khi + 1)]
     rows = _map_cells(_sweep_cell, cells, args.jobs)
     lines = ["d,k,verdict,method,witness,runtime_ms"]
@@ -257,8 +261,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    if args.i <= 2 or args.k <= 1:
-        raise _UsageError("factor requires i > 2 and k > 1")
+    _check_bounds("factor", i=(args.i, args.i), k=(args.k, args.k))
     v = conjecture_verdict(args.i, args.k)
     rep = v.observed
     print(f"F_{{{args.i},{args.k}}}: degree {rep.degree}")
@@ -276,8 +279,7 @@ def _cmd_factor(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.oracle_cmd == "gen":
-        if args.d < 2:
-            raise _UsageError("gen requires d >= 2")
+        _check_bounds("oracle gen", d=(args.d, args.d))
         g = gen_line_digraph_complete(args.d)
         _write_or_print(g.serialize(args.d, 2), args.out)
         if args.out is not None:
@@ -339,8 +341,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_decide)
 
     p = sub.add_parser("conjecture", help="factor F_{i,k} over a rectangle")
-    p.add_argument("--i", required=True, help="i range LO..HI (i > 2)")
-    p.add_argument("--k", required=True, help="k range LO..HI (k > 1)")
+    p.add_argument("--i", required=True, help=f"i range LO..HI (3..{_MAX_I})")
+    p.add_argument("--k", required=True, help=f"k range LO..HI (2..{_MAX_K})")
     p.add_argument("--out", default=None, help="directory for per-cell reports")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--deterministic", action="store_true")
@@ -355,14 +357,14 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("factor", help="factor a single F_{i,k}")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--i", type=int, required=True, help=f"3..{_MAX_I}")
+    p.add_argument("--k", type=int, required=True, help=f"2..{_MAX_K}")
     p.set_defaults(fn=_cmd_factor)
 
     p = sub.add_parser("oracle", help="generate and verify digraph instances")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
     pg = osub.add_parser("gen", help="write a generated (d,2) instance")
-    pg.add_argument("--d", type=int, required=True)
+    pg.add_argument("--d", type=int, required=True, help=f"2..{_MAX_D}")
     pg.add_argument("--out", default=None)
     pc = osub.add_parser("check", help="verify a digraph file")
     pc.add_argument("file")

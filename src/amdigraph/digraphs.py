@@ -25,8 +25,6 @@ __all__ = [
     "Digraph",
     "MooreCheck",
     "InducedSubdigraph",
-    "SubdigraphReport",
-    "InNeighborhoodProfile",
     "NotDiregular",
     "OrderMismatch",
     "NotAlmostMoore",

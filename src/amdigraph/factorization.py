@@ -47,7 +47,6 @@ from .algebra import (
     IntPoly,
     NotDivisible,
     factorize,
-    is_prime,
     poly_divexact,
     poly_divmod,
     poly_mul,
@@ -56,17 +55,14 @@ from .algebra import (
 from .cyclotomic import build_F, cyclotomic
 
 __all__ = [
-    "BadPrime",
     "NoUsablePrime",
     "NotSquarefree",
-    "FactorReport",
     "ConjectureVerdict",
-    "IrreducibilityOutcome",
     "CONJECTURE_READINGS",
-    "factor_mod_p",
     "degree_set",
     "certify_irreducible",
     "factor_over_Q",
+    "score_conjecture",
     "conjecture_verdict",
     "split_index",
 ]
@@ -78,10 +74,6 @@ _PRIME_FLOOR = 101
 _PRIME_BUDGET = 24
 _DEGREE_CAP = 1600
 _CACHE_SIZE = 128  # entries in each of the _scan and _factor_over_Q caches
-
-
-class BadPrime(ValueError):
-    """The prime divides the leading coefficient (reduction drops degree)."""
 
 
 class NoUsablePrime(ValueError):
@@ -150,16 +142,6 @@ class ConjectureVerdict:
 # ---------------------------------------------------------------------------
 # Degree sets
 # ---------------------------------------------------------------------------
-
-
-def factor_mod_p(poly: IntPoly, p: int) -> list[int]:
-    """Multiset (sorted list) of irreducible-factor degrees of poly mod p."""
-    if not is_prime(p):
-        raise BadPrime(f"{p} is not prime")
-    if poly.lead % p == 0:
-        raise BadPrime(f"{p} divides the leading coefficient")
-    f = _gf.gf_from_coeffs(poly.coeffs, p)
-    return _gf.gf_degree_multiset(f, p)
 
 
 def _closure_mask(degrees: Iterable[int]) -> int:
@@ -392,7 +374,7 @@ def _factor_over_Q(
     rest = _reductions(f, prime_range_from(max(scanned, default=_PRIME_FLOOR - 1) + 1))
     sample += _intersect(n, rest, 5 - len(sample))[1].items()
     hensel_p = min(sample, key=lambda pc: pc[1])[0]
-    _, mod_facs = _gf.gf_factor(_gf.gf_from_coeffs(f.coeffs, hensel_p), hensel_p)
+    mod_facs = _gf.gf_factor(_gf.gf_from_coeffs(f.coeffs, hensel_p), hensel_p)
     primes_used = tuple(sorted(set(scanned) | {hensel_p}))
     if len(mod_facs) == 1:
         return (f,), primes_used
@@ -407,7 +389,7 @@ def _factor_over_Q(
     lc_inv = pow(lc % modulus, -1, modulus)
     f_hat = _pmod(f.scale(lc_inv), modulus)
     assert f_hat.is_monic
-    monic_facs = [IntPoly(int(c) for c in arr) for arr, _ in mod_facs]
+    monic_facs = [IntPoly(int(c) for c in arr) for arr in mod_facs]
     lifted = _hensel_lift_monic(f_hat, monic_facs, hensel_p, modulus)
 
     found: list[IntPoly] = []
@@ -607,6 +589,26 @@ def _observe(i: int, k: int) -> FactorReport:
     )
 
 
+def score_conjecture(
+    predicted_a: bool, predicted_b: bool, factor_degrees: tuple[int, ...]
+) -> tuple[tuple[tuple[str, str], ...], str]:
+    """Score an observed factorization against readings A and B: each fits
+    when F_{i,k} is reducible exactly as predicted and, if reducible, splits
+    into exactly two factors.  ``factor_degrees`` is () when Unresolved and
+    has one entry when Irreducible.  Returns the per-reading results and the
+    overall match, Consistent when either reading fits."""
+    if not factor_degrees:
+        return (("A", "Unresolved"), ("B", "Unresolved")), "Unresolved"
+    reducible = len(factor_degrees) > 1
+    two_at_most = len(factor_degrees) <= 2  # one factor, or the two predicted
+    by_reading = tuple(
+        (name, "Consistent" if predicted == reducible and two_at_most else "Inconsistent")
+        for name, predicted in (("A", predicted_a), ("B", predicted_b))
+    )
+    match = "Consistent" if any(v == "Consistent" for _, v in by_reading) else "Inconsistent"
+    return by_reading, match
+
+
 @lru_cache(maxsize=None)
 def conjecture_verdict(i: int, k: int) -> ConjectureVerdict:
     """Factor F_{i,k} and score the observed shape against the two-factor
@@ -614,29 +616,14 @@ def conjecture_verdict(i: int, k: int) -> ConjectureVerdict:
     if i <= 2 or k <= 1:
         raise ValueError("conjecture_verdict expects i > 2 and k > 1")
     observed = _observe(i, k)
-    preds = {name: rule(i, k) for name, rule in CONJECTURE_READINGS.items()}
-    per_reading: list[tuple[str, str]] = []
-    if observed.verdict == "Unresolved":
-        per_reading = [(name, "Unresolved") for name in sorted(preds)]
-        match = "Unresolved"
-    else:
-        got_reducible = observed.verdict == "Reducible"
-        for name in sorted(preds):
-            ok = preds[name] == got_reducible
-            if ok and got_reducible:
-                ok = len(observed.factor_degrees) == 2
-            per_reading.append((name, "Consistent" if ok else "Inconsistent"))
-        match = (
-            "Consistent"
-            if any(v == "Consistent" for _, v in per_reading)
-            else "Inconsistent"
-        )
+    pred_a, pred_b = (CONJECTURE_READINGS[name](i, k) for name in "AB")
+    match_by_reading, match = score_conjecture(pred_a, pred_b, observed.factor_degrees)
     return ConjectureVerdict(
         i=i,
         k=k,
-        predicted_reducible_reading_A=preds["A"],
-        predicted_reducible_reading_B=preds["B"],
+        predicted_reducible_reading_A=pred_a,
+        predicted_reducible_reading_B=pred_b,
         observed=observed,
         match=match,
-        match_by_reading=tuple(per_reading),
+        match_by_reading=match_by_reading,
     )

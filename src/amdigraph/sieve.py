@@ -21,13 +21,16 @@ from math import gcd
 
 from .algebra import divisors as all_divisors, primes_in
 from .cyclotomic import ramanujan_sum
-from .factorization import CONJECTURE_READINGS, ConjectureVerdict, conjecture_verdict
+from .factorization import (
+    CONJECTURE_READINGS,
+    ConjectureVerdict,
+    conjecture_verdict,
+    score_conjecture,
+)
 
 __all__ = [
-    "TraceSystem",
     "Certificate",
     "CheckedCell",
-    "InfeasibilityResult",
     "CertificateError",
     "LITERATURE",
     "prime_witness",
@@ -117,15 +120,9 @@ class CheckedCell:
     @property
     def match(self) -> str:
         """Re-derive the conjecture match from the stored degrees alone."""
-        if not self.observed_degrees:
-            return "Unresolved"
-        reducible = len(self.observed_degrees) > 1
-        for predicted in (self.predicted_reducible_a, self.predicted_reducible_b):
-            if predicted == reducible and (
-                not reducible or len(self.observed_degrees) == 2
-            ):
-                return "Consistent"
-        return "Inconsistent"
+        return score_conjecture(
+            self.predicted_reducible_a, self.predicted_reducible_b, self.observed_degrees
+        )[1]
 
 
 @dataclass(frozen=True)

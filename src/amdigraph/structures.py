@@ -17,7 +17,6 @@ from .cyclotomic import cyclotomic
 
 __all__ = [
     "CycleStructure",
-    "OrderSpectrum",
     "m_of",
     "is_two_critical",
     "enumerate_structures",
@@ -64,26 +63,8 @@ class CycleStructure:
     def lengths(self) -> tuple[int, ...]:
         return tuple(j for j, _ in self.entries)
 
-    @property
-    def is_self_repeat(self) -> bool:
-        return self.m(1) == self.k
-
     def serialize(self) -> str:
         return " ".join(f"{j}:{m}" for j, m in self.entries)
-
-
-@dataclass(frozen=True)
-class OrderSpectrum:
-    """Orders of the out-neighbours of a self-repeat, with multiplicities."""
-
-    entries: tuple[tuple[int, int], ...]  # (order s_i, multiplicity n_i)
-
-    def orders(self) -> frozenset[int]:
-        return frozenset(s for s, _ in self.entries)
-
-    def consistent_with_degree(self, d: int) -> bool:
-        # d = 1 + sum n_i * s_i
-        return d == 1 + sum(n * s for s, n in self.entries)
 
 
 def m_of(s: CycleStructure, i: int) -> int:

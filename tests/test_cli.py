@@ -51,6 +51,29 @@ def test_decide_outside_caps_exits_one(capsys: pytest.CaptureFixture[str]) -> No
         assert "usage error: decide requires 2 <= d <= 12 and 2 <= k <= 300" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("factor --i 3 --k 301", "factor requires 3 <= i <= 30 and 2 <= k <= 300"),
+        ("factor --i 31 --k 5", "factor requires 3 <= i <= 30 and 2 <= k <= 300"),
+        ("conjecture --i 3..31 --k 5..5", "conjecture requires 3 <= i <= 30 and 2 <= k <= 300"),
+        ("oracle gen --d 13", "oracle gen requires 2 <= d <= 12"),
+    ],
+)
+def test_factor_conjecture_and_gen_caps_exit_one(
+    argv: str, message: str, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    def refuse(*args):
+        raise AssertionError("work started outside the caps")
+
+    monkeypatch.setattr(cli, "conjecture_verdict", refuse)
+    monkeypatch.setattr(cli, "gen_line_digraph_complete", refuse)
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
 def test_decide_unknown_exits_two(
     monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
 ) -> None:

@@ -9,14 +9,13 @@ from amdigraph import _gf, factorization
 from amdigraph.algebra import IntPoly, euler_phi, poly_divexact, poly_mul, prime_range_from, primes_in
 from amdigraph.cyclotomic import build_F, cyclotomic
 from amdigraph.factorization import (
-    BadPrime,
     NoUsablePrime,
     NotSquarefree,
     certify_irreducible,
     conjecture_verdict,
     degree_set,
-    factor_mod_p,
     factor_over_Q,
+    score_conjecture,
     split_index,
 )
 
@@ -29,30 +28,6 @@ def _sympy_degrees(poly: IntPoly) -> list[int]:
     for base, mult in facs:
         out.extend([sympy.Poly(base, x).degree()] * mult)
     return sorted(out)
-
-
-def test_factor_mod_p_quadratic_with_double_root() -> None:
-    # x^2 + x + 2 has the double root 3 mod 7: two linear factors
-    F = build_F(2, 2)
-    assert factor_mod_p(F, 7) == [1, 1]
-    assert F.evaluate(3) % 7 == 0
-    assert F.evaluate(2) % 7 != 0
-    assert F.evaluate(4) % 7 != 0
-
-
-def test_factor_mod_p_rejects_bad_primes() -> None:
-    with pytest.raises(BadPrime):
-        factor_mod_p(IntPoly((1, 1)), 6)
-    with pytest.raises(BadPrime):
-        factor_mod_p(IntPoly((1, 0, 7)), 7)
-
-
-def test_factor_mod_p_degree_multisets_sum_to_degree() -> None:
-    F = build_F(3, 4)
-    for p in primes_in(5, 60):
-        degs = factor_mod_p(F, p)
-        assert sum(degs) == F.degree
-        assert degs == sorted(degs)
 
 
 def test_degree_set_closure_shape() -> None:
@@ -247,6 +222,39 @@ def test_split_index_cases() -> None:
     assert split_index(12) == 12
 
 
+_C, _I, _U = "Consistent", "Inconsistent", "Unresolved"
+
+
+@pytest.mark.parametrize(
+    "predicted, degrees, by_reading, match",
+    [
+        # unresolved: no degrees, nothing to score
+        ((False, False), (), (_U, _U), _U),
+        ((False, True), (), (_U, _U), _U),
+        ((True, False), (), (_U, _U), _U),
+        ((True, True), (), (_U, _U), _U),
+        # irreducible: a reading fits when it predicts irreducible
+        ((False, False), (24,), (_C, _C), _C),
+        ((False, True), (24,), (_C, _I), _C),
+        ((True, False), (24,), (_I, _C), _C),
+        ((True, True), (24,), (_I, _I), _I),
+        # two factors: a reading fits when it predicts reducible
+        ((False, False), (4, 28), (_I, _I), _I),
+        ((False, True), (4, 28), (_I, _C), _C),
+        ((True, False), (4, 28), (_C, _I), _C),
+        ((True, True), (4, 28), (_C, _C), _C),
+        # three factors break the two-factor shape under either reading
+        ((False, False), (2, 2, 4), (_I, _I), _I),
+        ((False, True), (2, 2, 4), (_I, _I), _I),
+        ((True, False), (2, 2, 4), (_I, _I), _I),
+        ((True, True), (2, 2, 4), (_I, _I), _I),
+    ],
+)
+def test_score_conjecture_truth_table(predicted, degrees, by_reading, match) -> None:
+    got = score_conjecture(*predicted, degrees)
+    assert got == ((("A", by_reading[0]), ("B", by_reading[1])), match)
+
+
 def test_conjecture_verdict_even_k_cells() -> None:
     v = conjecture_verdict(5, 8)
     assert v.match == "Consistent"
@@ -414,7 +422,7 @@ def _five_prime_hensel_choice(f: IntPoly) -> int:
         if f.lead % p == 0 or not _gf.gf_is_squarefree(img, p):
             continue
         count += 1
-        n = len(_gf.gf_factor(img, p)[1])
+        n = len(_gf.gf_factor(img, p))
         if best is None or n < best[1]:
             best = (p, n)
         if count >= 5 or n == 1:

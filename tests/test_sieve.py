@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from amdigraph.algebra import divisors, is_prime
 from amdigraph.cyclotomic import ramanujan_sum
+from amdigraph.factorization import conjecture_verdict
 from amdigraph.sieve import (
     LITERATURE,
     Certificate,
@@ -209,6 +210,22 @@ def test_checked_cell_match_recomputation() -> None:
     assert unresolved.match == "Unresolved"
     three = replace(c, observed_degrees=(2, 2, 4))
     assert three.match == "Inconsistent"
+
+
+@pytest.mark.parametrize(
+    "i, k",
+    [
+        (3, 60),  # irreducible by tower sampling
+        (5, 18),  # reducible by the peeled tower
+        (5, 8),  # reducible by full factorization
+        (5, 6),  # irreducible by full factorization
+        (6, 13),  # reducible, only reading B fits
+        (5, 9),  # irreducible, only reading B fits
+    ],
+)
+def test_checked_cell_match_equals_verdict_match(i: int, k: int) -> None:
+    v = conjecture_verdict(i, k)
+    assert CheckedCell.from_verdict(v).match == v.match
 
 
 def test_validate_certificate_accepts_decided_cells() -> None:

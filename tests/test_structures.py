@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from amdigraph.structures import (
     CycleStructure,
-    OrderSpectrum,
     char_poly_JP,
     char_poly_P,
     enumerate_structures,
@@ -57,13 +56,6 @@ def test_m_of_counts_cycles_with_divisible_length() -> None:
     assert m_of(s, 4) == 1
     with pytest.raises(ValueError):
         m_of(s, 0)
-
-
-def test_is_self_repeat_means_k_fixed_points() -> None:
-    assert _mk(2, {1: 2, 4: 1}).is_self_repeat
-    assert not _mk(2, {1: 1, 6: 1, 12: 1}).is_self_repeat
-    assert not _mk(2, {1: 4}).is_self_repeat
-    assert enumerate_structures(4, 3)[0].is_self_repeat
 
 
 def test_two_critical_witness_normal_form() -> None:
@@ -125,7 +117,7 @@ def test_enumerate_structures_invariants(d_prime: int, k: int) -> None:
         assert s.N == N
         assert sum(j * m for j, m in s.entries) == N
         assert s.m(1) == k
-        assert s.is_self_repeat
+        assert s.m(1) == s.k
         flag, alpha = is_two_critical(s)
         assert flag
         assert alpha is not None and (d_prime - 1) % alpha == 0
@@ -158,11 +150,3 @@ def test_char_poly_JP_matches_matrix_oracle() -> None:
         J = sympy.ones(s.N, s.N)
         assert char_poly_JP(s).coeffs == _charpoly_coeffs(J + P)
 
-
-def test_order_spectrum_accessors() -> None:
-    spec = OrderSpectrum(((3, 1),))
-    assert spec.orders() == frozenset({3})
-    assert spec.consistent_with_degree(4)
-    mixed = OrderSpectrum(((1, 2), (2, 1)))
-    assert mixed.consistent_with_degree(5)
-    assert not mixed.consistent_with_degree(4)
