@@ -16,7 +16,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .algebra import divisors as all_divisors
 from .digraphs import (
     Digraph,
     NotAlmostMoore,
@@ -32,7 +31,7 @@ from .sieve import Certificate, CheckedCell, decide, validate_certificate
 
 __all__ = ["main", "serialize_certificate", "parse_certificate"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MAX_D = 12
 _MAX_K = 300
@@ -64,10 +63,6 @@ def serialize_certificate(cert: Certificate, deterministic: bool = False) -> str
         "verdict": cert.verdict,
         "method": cert.method,
         "witness": cert.witness,
-        "ell_max": cert.ell_max,
-        "trace_rows": [
-            [ell, dpow, list(svals)] for ell, dpow, svals in cert.trace_rows
-        ],
         "checked_i": [
             {
                 "i": cell.i,
@@ -88,33 +83,52 @@ def serialize_certificate(cert: Certificate, deterministic: bool = False) -> str
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _field(obj: dict, key: str, *kinds: type, at: str = ""):
+    # json.loads yields exact types, so a bool never passes for an int here
+    if key not in obj:
+        raise ValueError(f"certificate field {at}{key} is missing")
+    if type(obj[key]) not in kinds:
+        names = " or ".join(t.__name__ for t in kinds)
+        raise ValueError(f"certificate field {at}{key} must be {names}")
+    return obj[key]
+
+
+def _items(obj: dict, key: str, kind: type, at: str = "") -> tuple:
+    values = _field(obj, key, list, at=at)
+    if any(type(v) is not kind for v in values):
+        raise ValueError(f"certificate field {at}{key} must hold only {kind.__name__}")
+    return tuple(values)
+
+
 def parse_certificate(text: str) -> Certificate:
+    """Inverse of serialize_certificate; a malformed document raises
+    ValueError naming the field at fault."""
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise ValueError("certificate must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')}")
-    k = doc["k"]
-    return Certificate(
-        d=doc["d"],
-        k=k,
-        verdict=doc["verdict"],
-        method=doc["method"],
-        witness=doc["witness"],
-        ell_max=doc["ell_max"],
-        divisors=tuple(n for n in all_divisors(k) if n > 1),
-        trace_rows=tuple(
-            (ell, dpow, tuple(svals)) for ell, dpow, svals in doc["trace_rows"]
-        ),
-        checked_i=tuple(
+    cells = []
+    for n, cell in enumerate(_items(doc, "checked_i", dict)):
+        at = f"checked_i[{n}]."
+        predicted = _field(cell, "predicted", dict, at=at)
+        cells.append(
             CheckedCell(
-                i=cell["i"],
-                predicted_reducible_a=cell["predicted"]["A"],
-                predicted_reducible_b=cell["predicted"]["B"],
-                observed_degrees=tuple(cell["observed_degrees"]),
-                primes_used=tuple(cell["primes_used"]),
+                i=_field(cell, "i", int, at=at),
+                predicted_reducible_a=_field(predicted, "A", bool, at=at + "predicted."),
+                predicted_reducible_b=_field(predicted, "B", bool, at=at + "predicted."),
+                observed_degrees=_items(cell, "observed_degrees", int, at),
+                primes_used=_items(cell, "primes_used", int, at),
             )
-            for cell in doc["checked_i"]
-        ),
-        assumptions=tuple(doc["assumptions"]),
+        )
+    return Certificate(
+        d=_field(doc, "d", int),
+        k=_field(doc, "k", int),
+        verdict=_field(doc, "verdict", str),
+        method=_field(doc, "method", str),
+        witness=_field(doc, "witness", int, type(None)),
+        checked_i=tuple(cells),
+        assumptions=_items(doc, "assumptions", str),
     )
 
 
@@ -139,9 +153,9 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 
 def _check_bounds(cmd: str, **ranges: tuple[int, int]) -> None:
-    # bounded work and output: a certificate holds every d^ell row exactly,
-    # and json refuses to print an int of more than 4300 digits; factoring
-    # F_{i,k} slows fast in i and k; an oracle instance has d(d+1) vertices
+    # bounded work: factoring F_{i,k} (factor, conjecture, and decide's
+    # conjecture elimination over i < d) slows fast in i and k; an oracle
+    # instance has d(d+1) vertices
     if any(lo < _BOUNDS[n][0] or hi > _BOUNDS[n][1] for n, (lo, hi) in ranges.items()):
         caps = " and ".join(f"{_BOUNDS[n][0]} <= {n} <= {_BOUNDS[n][1]}" for n in ranges)
         raise _UsageError(f"{cmd} requires {caps}")

@@ -400,7 +400,9 @@ def _factor_over_Q(
         hit = False
         for combo in combinations(active, size):
             d = sum(lifted[j].degree for j in combo)
-            if not (mask >> d) & 1 or 2 * d > f_cur.degree:
+            # no degree-half prune as well: subsets stop at half the factors,
+            # so a few-factor, high-degree subset is the only way to its factor
+            if not (mask >> d) & 1:
                 continue
             cand = _prod(lifted[j] for j in combo)
             cand = _pcenter(cand.scale(f_cur.lead), modulus).primitive_part()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
@@ -7,17 +8,23 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amdigraph.cli as cli
 from amdigraph.cli import main, parse_certificate, serialize_certificate
 from amdigraph.digraphs import Digraph, gen_line_digraph_complete
-from amdigraph.sieve import decide
+from amdigraph.sieve import Certificate, decide
 
 
 def test_decide_definite_exits_zero(capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["decide", "6", "11", "--deterministic"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
+    assert set(doc) == {
+        "schema_version", "d", "k", "verdict", "method", "witness",
+        "checked_i", "assumptions", "tool_version",
+    }
     assert (doc["d"], doc["k"]) == (6, 11)
     assert doc["verdict"] == "NotExistSelfRepeat"
     assert doc["method"] == "PrimeWitness"
@@ -43,7 +50,7 @@ def test_decide_usage_errors_exit_one(capsys: pytest.CaptureFixture[str]) -> Non
 
 
 def test_decide_outside_caps_exits_one(capsys: pytest.CaptureFixture[str]) -> None:
-    # the caps keep certificates printable: json cannot print 2^20000
+    # the caps bound the work: d and k set how many F_{i,k} decide may factor
     for d, k in (("2", "20000"), ("13", "5"), ("6", "301")):
         assert main(["decide", d, k]) == 1
         captured = capsys.readouterr()
@@ -109,16 +116,110 @@ def test_serialize_deterministic_is_byte_stable() -> None:
     assert "generated_at" not in a
 
 
+def test_certificate_size_is_bounded() -> None:
+    # a certificate stores the decision, not the trace rows it rests on
+    text = serialize_certificate(decide(2, 300), deterministic=True)
+    assert len(text.encode()) < 1024
+
+
+# decide(6, 11) as schema version 1 wrote it, trace rows included
+_V1_DOCUMENT = {
+    "schema_version": 1, "d": 6, "k": 11, "verdict": "NotExistSelfRepeat",
+    "method": "PrimeWitness", "witness": 2, "ell_max": 2,
+    "trace_rows": [[1, 6, [-1]], [2, 36, [-1]]], "checked_i": [], "assumptions": [],
+    "tool_version": "0.1.0",
+}
+
+
+def _mutated(cert: Certificate, change) -> str:
+    doc = json.loads(serialize_certificate(cert, deterministic=True))
+    change(doc)
+    return json.dumps(doc)
+
+
+# one change to the document of decide(6, 5), and the error that names it
+_BAD_DOCUMENTS = [
+    (lambda doc: doc.update(schema_version=9), "unsupported schema_version 9"),
+    (lambda doc: doc.pop("verdict"), "field verdict is missing"),
+    (lambda doc: doc.update(d="6"), "field d must be int"),
+    (lambda doc: doc.update(k=True), "field k must be int"),
+    (lambda doc: doc.update(witness=2.0), "field witness must be int or NoneType"),
+    (lambda doc: doc.update(checked_i={}), "field checked_i must be list"),
+    (lambda doc: doc.update(checked_i=[3]), "field checked_i must hold only dict"),
+    (lambda doc: doc.update(assumptions=[1]), "field assumptions must hold only str"),
+    (lambda doc: doc["checked_i"][0].update(i=3.0), r"field checked_i\[0\]\.i must be int"),
+    (lambda doc: doc["checked_i"][1]["predicted"].update(A=1),
+     r"field checked_i\[1\]\.predicted\.A must be bool"),
+    (lambda doc: doc["checked_i"][2].pop("primes_used"),
+     r"field checked_i\[2\]\.primes_used is missing"),
+    (lambda doc: doc["checked_i"][0].update(observed_degrees=[None]),
+     r"field checked_i\[0\]\.observed_degrees must hold only int"),
+]
+
+
 def test_parse_certificate_rejects_bad_documents() -> None:
-    good = serialize_certificate(decide(6, 11), deterministic=True)
-    doc = json.loads(good)
-    doc["schema_version"] = 9
-    with pytest.raises(ValueError, match="schema_version"):
-        parse_certificate(json.dumps(doc))
-    doc = json.loads(good)
-    del doc["verdict"]
-    with pytest.raises((KeyError, ValueError)):
-        parse_certificate(json.dumps(doc))
+    cert = decide(6, 5)
+    for change, message in _BAD_DOCUMENTS:
+        with pytest.raises(ValueError, match=message):
+            parse_certificate(_mutated(cert, change))
+
+
+def test_parse_certificate_rejects_v1_and_non_documents() -> None:
+    with pytest.raises(ValueError, match="unsupported schema_version 1"):
+        parse_certificate(json.dumps(_V1_DOCUMENT))
+    for text in ("{", "", "[]", "2", '"certificate"'):
+        with pytest.raises(ValueError):
+            parse_certificate(text)
+
+
+_FUZZ_CELLS = ((6, 5), (6, 11), (7, 2))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@functools.cache
+def _certificate_text(cell: tuple[int, int]) -> str:
+    return serialize_certificate(decide(*cell), deterministic=True)
+
+
+def _slots(node, path: tuple = ()):
+    """The path to every key and list entry of a JSON document."""
+    if isinstance(node, dict):
+        entries = node.items()
+    elif isinstance(node, list):
+        entries = enumerate(node)
+    else:
+        return
+    for key, child in entries:
+        yield path + (key,)
+        yield from _slots(child, path + (key,))
+
+
+@given(st.sampled_from(_FUZZ_CELLS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_certificate_fuzz_raises_only_value_error(cell, data) -> None:
+    doc = json.loads(_certificate_text(cell))
+    path = data.draw(st.sampled_from(list(_slots(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    action = data.draw(st.sampled_from(("delete", "replace", "rename")))
+    if action == "delete":
+        del parent[key]
+    elif action == "rename" and isinstance(parent, dict):
+        parent[data.draw(st.text(max_size=4))] = parent.pop(key)
+    else:
+        parent[key] = data.draw(_JSON_VALUES)
+    try:
+        cert = parse_certificate(json.dumps(doc, indent=2))
+    except ValueError:
+        return
+    assert isinstance(cert, Certificate)
 
 
 def test_sweep_writes_sorted_deterministic_csv(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:

@@ -199,6 +199,7 @@ def test_factor_over_Q_agrees_with_sympy() -> None:
         lambda cs: IntPoly(tuple(cs[:-1]) + (1,))
     )
 )
+@example(IntPoly((1, 0, 1, 1, 1, 1, 1)))  # (x^2+1)(x^4+x^3+1); mod 101 degrees 1, 1, 4
 @settings(max_examples=40, deadline=None)
 def test_factor_over_Q_roundtrip_on_monic_squarefree(p: IntPoly) -> None:
     assume(p.degree >= 1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from amdigraph.algebra import divisors, is_prime
 from amdigraph.cyclotomic import ramanujan_sum
+from amdigraph import sieve
 from amdigraph.factorization import conjecture_verdict
 from amdigraph.sieve import (
     LITERATURE,
@@ -29,7 +30,6 @@ def test_trace_system_6_11() -> None:
     assert sys.ell_max == 2
     assert sys.divisors == (11,)
     assert sys.S_table == ((-1,), (-1,))
-    assert sys.rows() == [(1, 6, (-1,)), (2, 36, (-1,))]
 
 
 def test_trace_system_4_9() -> None:
@@ -112,29 +112,14 @@ def test_threshold_covered_branches() -> None:
 
 
 def test_check_infeasible_mu_collapse_6_11() -> None:
-    res = check_infeasible(build_trace_system(6, 11))
-    assert res.infeasible
-    assert res.kind == "MuCollapse"
-    assert res.ell_star == 2
-    assert res.identity == (36, 6)
+    assert check_infeasible(build_trace_system(6, 11), 2) is True
 
 
-def test_check_infeasible_inconclusive_small_systems() -> None:
-    for d, k in ((3, 2), (4, 2), (3, 4)):
-        res = check_infeasible(build_trace_system(d, k))
-        assert res.status == "Inconclusive"
-        assert not res.infeasible
-        assert res.kind is None
-
-
-def test_check_infeasible_rational_elimination_2_2() -> None:
-    # the d=2 row range reaches ell = k, where the self-repeat trace is
-    # genuinely nonzero; the linear rows alone are contradictory even though
-    # (2,2) digraphs exist, and decide() never consults them at k = 2
-    res = check_infeasible(build_trace_system(2, 2))
-    assert res.infeasible
-    assert res.kind == "RationalElimination"
-    assert res.ell_star is None
+def test_check_infeasible_needs_equal_rows_4_9() -> None:
+    # 3 divides 9: row 3 is (2, -3), row 1 is (-1, 0), nothing collapses
+    sys = build_trace_system(4, 9)
+    assert check_infeasible(sys, 3) is False
+    assert check_infeasible(sys, 2) is True
 
 
 @given(st.integers(min_value=4, max_value=12), st.integers(min_value=5, max_value=300))
@@ -143,11 +128,9 @@ def test_witness_cells_mu_collapse(d: int, k: int) -> None:
     w = prime_witness(d, k)
     if w is None:
         return
-    res = check_infeasible(build_trace_system(d, k))
-    assert res.infeasible
-    assert res.kind == "MuCollapse"
-    assert res.ell_star == w
-    assert res.identity == (d**w, d)
+    sys = build_trace_system(d, k)
+    assert check_infeasible(sys, w)
+    assert sys.S_table[0] == sys.S_table[w - 1]
     assert d**w != d
 
 
@@ -233,7 +216,7 @@ def test_validate_certificate_accepts_decided_cells() -> None:
         assert validate_certificate(decide(d, k))
 
 
-def test_validate_certificate_rejects_tampering() -> None:
+def test_validate_certificate_rejects_tampering(monkeypatch: pytest.MonkeyPatch) -> None:
     witness_cert = decide(6, 11)
     elim_cert = decide(4, 6)
 
@@ -249,8 +232,12 @@ def test_validate_certificate_rejects_tampering() -> None:
     with pytest.raises(CertificateError, match="outside interval"):
         validate_certificate(bad)
 
-    bad = replace(witness_cert, trace_rows=((1, 5, (-1,)),))
-    with pytest.raises(CertificateError, match="rows mismatch"):
+    bad = replace(decide(4, 9), witness=3)
+    with pytest.raises(CertificateError, match="shares a factor"):
+        validate_certificate(bad)
+
+    bad = replace(decide(7, 2), d=1)
+    with pytest.raises(CertificateError, match="outside d >= 2"):
         validate_certificate(bad)
 
     bad = replace(elim_cert, assumptions=("someone00: unrelated claim",))
@@ -279,6 +266,13 @@ def test_validate_certificate_rejects_tampering() -> None:
     bad = replace(elim_cert, assumptions=("cggmm14 but no separator",))
     with pytest.raises(CertificateError, match="citation strings"):
         validate_certificate(bad)
+
+    # the validator consults the trace rows: unequal rows 1 and w fail it
+    rows = build_trace_system(6, 11)
+    uneven = replace(rows, S_table=(rows.S_table[0], (0,)))
+    monkeypatch.setattr(sieve, "build_trace_system", lambda d, k: uneven)
+    with pytest.raises(CertificateError, match="not infeasible"):
+        validate_certificate(witness_cert)
 
 
 def test_validate_certificate_threshold_branch() -> None:
