@@ -193,9 +193,15 @@ def verify_moore(g: Digraph, d: int, k: int) -> MooreCheck:
     bad = next((v for v in range(g.n) if indeg[v] != d), None)
     if bad is not None:
         raise NotDiregular(f"vertex {bad}: in-degree {indeg[bad]} != {d}")
-    order = sum(d**t for t in range(1, k + 1))
+    # d + d^2 + ... + d^k, cut short once past n: k comes from the file header
+    order = 0
+    for t in range(1, k + 1):
+        order += d**t
+        if order > g.n:
+            break
     if g.n != order:
-        raise OrderMismatch(f"{g.n} != {order}")
+        total = str(order) if t == k else f"{d} + ... + {d}^{k} > {order}"
+        raise OrderMismatch(f"{g.n} != {total}")
 
     A = g.adjacency()
     M = np.eye(g.n, dtype=np.int64)

@@ -6,14 +6,14 @@ closures of the images' factor-degree multisets, and stops at {0, deg}
 (irreducible), after a budget of contributing primes, or after 64 * budget
 primes scanned; it also counts the mod-p factors at each contributing prime.
 Never a false positive: every true rational factor degree survives in each
-closure.  The budget is AMD_PRIME_BUDGET (default 24) for the certifiers, 24
-for a bare ``factor_over_Q`` and every given prime for ``degree_set``.
+closure.  The budget is 24 usable primes (``_PRIME_BUDGET``) for the
+certifiers and ``factor_over_Q``, and every given prime for ``degree_set``.
 
 The scan from _PRIME_FLOOR and the rational factorization are memoised per
-(sign-normalised polynomial, budget) in bounded caches (``_CACHE_SIZE``
-entries each), so ``certify_irreducible`` after ``factor_over_Q`` on the same
-polynomial, or the reverse, reuses the scan and the Hensel factorization
-instead of repeating them.  Three users:
+sign-normalised polynomial in bounded caches (``_CACHE_SIZE`` entries each),
+so ``certify_irreducible`` after ``factor_over_Q`` on the same polynomial, or
+the reverse, reuses the scan and the Hensel factorization instead of
+repeating them.  Three users:
 
 * degree-set certification (``degree_set``, ``certify_irreducible``) over
   the squarefree full-degree reductions that ``_reductions`` yields;
@@ -33,7 +33,6 @@ instead of repeating them.  Three users:
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
@@ -198,12 +197,12 @@ def _intersect(
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _scan(f: IntPoly, budget: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+def _scan(f: IntPoly) -> tuple[int, tuple[tuple[int, int], ...]]:
     """``_intersect`` over the reductions of f at the primes from
     _PRIME_FLOOR up: the mask and the (prime, factor count) pairs in scan
     order.  Negating f changes no mod-p degree, so callers pass f with a
     positive leading coefficient and share one entry."""
-    mask, counts = _intersect(f.degree, _reductions(f, prime_range_from(_PRIME_FLOOR)), budget)
+    mask, counts = _intersect(f.degree, _reductions(f, prime_range_from(_PRIME_FLOOR)), _PRIME_BUDGET)
     return mask, tuple(counts.items())
 
 
@@ -231,10 +230,10 @@ def certify_irreducible(poly: IntPoly) -> IrreducibilityOutcome:
     """Degree-set certification over an adaptive ascending prime sequence.
 
     Irreducible when the intersected closure shrinks to {0, deg}; Unknown
-    once the usable-prime budget (the AMD_PRIME_BUDGET environment variable)
-    or the scan cap runs out.  Small irreducible inputs never stay Unknown:
-    when the degree set cannot separate (composite cyclotomic towers force a
-    proper subset sum at every prime), the verdict is completed by factoring
+    once the usable-prime budget or the scan cap runs out.  Small squarefree
+    irreducible inputs never stay Unknown: when the degree set cannot
+    separate (composite cyclotomic towers force a proper subset sum at every
+    prime), the verdict is completed by factoring the primitive part
     outright.  Never falsely Irreducible.
     """
     n = poly.degree
@@ -242,15 +241,12 @@ def certify_irreducible(poly: IntPoly) -> IrreducibilityOutcome:
         raise ValueError("certify_irreducible expects a nonconstant polynomial")
     if n == 1:
         return IrreducibilityOutcome("Irreducible", (), frozenset({0, 1}))
-    f, budget = _positive(poly), _env_budget()
-    mask, counts = _scan(f, budget)
+    f = _positive(poly)
+    mask, counts = _scan(f)
     status = "Irreducible" if mask == 1 | (1 << n) else "Unknown"
-    if status == "Unknown" and n <= _FULL_FACTOR_DEGREE:
-        try:
-            factors, _ = _factor_over_Q(f, _DEGREE_CAP, budget)
-        except (NotSquarefree, ValueError):
-            factors = None
-        if factors is not None and len(factors) == 1:
+    # a usable prime shows f squarefree, so factoring cannot raise
+    if status == "Unknown" and counts and n <= _FULL_FACTOR_DEGREE:
+        if len(_factor_over_Q(f.primitive_part())[0]) == 1:
             status = "Irreducible"
     return IrreducibilityOutcome(status, tuple(p for p, _ in counts), _mask_to_set(mask))
 
@@ -328,16 +324,14 @@ def _l2_norm_ceil(f: IntPoly) -> int:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _factor_over_Q(
-    f: IntPoly, degree_cap: int, budget: int
-) -> tuple[tuple[IntPoly, ...] | None, tuple[int, ...]]:
+def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...] | None, tuple[int, ...]]:
     """Factor f (leading coefficient positive) over Q; also returns the
     primes the result rests on.
 
-    The pruning mask and the Hensel prime come from ``_scan(f, budget)``:
-    its counts choose the Hensel prime, so only that prime is factored mod p.
-    Callers pass the arguments positionally, so that every caller of one
-    polynomial hits the same cache entry.
+    The pruning mask and the Hensel prime come from ``_scan(f)``: its counts
+    choose the Hensel prime, so only that prime is factored mod p.  None
+    (Unresolved) above _DEGREE_CAP; NoUsablePrime when the scan finds no
+    squarefree full-degree reduction.
     """
     if f.degree < 1:
         raise ValueError("factor_over_Q expects a nonconstant polynomial")
@@ -348,34 +342,27 @@ def _factor_over_Q(
 
     # squarefreeness: one squarefree modular image proves it; confirm the
     # negative exactly before raising
-    def usable(scan_cap: int) -> bool:
-        return any(images for _, images in islice(_reductions(f, prime_range_from(_PRIME_FLOOR)), scan_cap))
-
-    if not usable(41):
-        if not _rational_gcd_is_constant(f, f.derivative()):
-            raise NotSquarefree("polynomial shares a factor with its derivative")
-        if not usable(4001):
-            raise NoUsablePrime("no prime gave a squarefree reduction")
-    if n > degree_cap:
+    first = islice(_reductions(f, prime_range_from(_PRIME_FLOOR)), 41)
+    if not any(images for _, images in first) and not _rational_gcd_is_constant(f, f.derivative()):
+        raise NotSquarefree("polynomial shares a factor with its derivative")
+    if n > _DEGREE_CAP:
         return None, ()
 
     if n == 1:
         return (f,), ()
 
     # degree-set pruning mask
-    mask, counts = _scan(f, budget)
-    scanned = tuple(p for p, _ in counts)
+    mask, counts = _scan(f)
+    if not counts:
+        raise NoUsablePrime("no prime gave a squarefree reduction")
+    primes_used = tuple(p for p, _ in counts)
     if mask == (1 | (1 << n)):
-        return (f,), scanned
+        return (f,), primes_used
 
     # Hensel prime: the first with the fewest mod-p factors among the first
-    # five usable primes; the counts past the end of a shorter scan come here
-    sample = list(counts[:5])
-    rest = _reductions(f, prime_range_from(max(scanned, default=_PRIME_FLOOR - 1) + 1))
-    sample += _intersect(n, rest, 5 - len(sample))[1].items()
-    hensel_p = min(sample, key=lambda pc: pc[1])[0]
+    # five usable primes
+    hensel_p = min(counts[:5], key=lambda pc: pc[1])[0]
     mod_facs = _gf.gf_factor(_gf.gf_from_coeffs(f.coeffs, hensel_p), hensel_p)
-    primes_used = tuple(sorted(set(scanned) | {hensel_p}))
     if len(mod_facs) == 1:
         return (f,), primes_used
 
@@ -428,15 +415,15 @@ def _factor_over_Q(
     return tuple(found), primes_used
 
 
-def factor_over_Q(poly: IntPoly, degree_cap: int = _DEGREE_CAP) -> list[IntPoly] | None:
+def factor_over_Q(poly: IntPoly) -> list[IntPoly] | None:
     """Complete factorization into irreducibles whose product is poly.
 
     Hensel lifting of a mod-p factorization with recombination pruned by the
-    degree set.  Returns None (Unresolved) when deg(poly) exceeds degree_cap;
-    raises NotSquarefree when gcd(poly, poly') is nonconstant.  A negative
-    leading coefficient goes to the first factor.
+    degree set.  Returns None (Unresolved) when deg(poly) exceeds 1600
+    (``_DEGREE_CAP``); raises NotSquarefree when gcd(poly, poly') is
+    nonconstant.  A negative leading coefficient goes to the first factor.
     """
-    factors = _factor_over_Q(_positive(poly), degree_cap, _PRIME_BUDGET)[0]
+    factors = _factor_over_Q(_positive(poly))[0]
     if factors is None:
         return None
     out = list(factors)
@@ -448,14 +435,6 @@ def factor_over_Q(poly: IntPoly, degree_cap: int = _DEGREE_CAP) -> list[IntPoly]
 # ---------------------------------------------------------------------------
 # Tower sampling for F_{i,k}
 # ---------------------------------------------------------------------------
-
-
-def _env_budget() -> int:
-    raw = os.environ.get("AMD_PRIME_BUDGET", "")
-    try:
-        return max(4, int(raw))
-    except ValueError:
-        return _PRIME_BUDGET
 
 
 def split_index(i: int) -> int:
@@ -519,7 +498,7 @@ def _certify_tower(i: int, k: int, peel: bool) -> tuple[bool, tuple[int, ...]]:
                 yield f
 
     primes = (p for p in prime_range_from(_PRIME_FLOOR) if (p - 1) % i == 0)
-    mask, counts = _intersect(deg, ((p, samples(p)) for p in primes), _env_budget())
+    mask, counts = _intersect(deg, ((p, samples(p)) for p in primes), _PRIME_BUDGET)
     return mask == 1 | (1 << deg), tuple(counts)
 
 
@@ -535,7 +514,7 @@ def _observe(i: int, k: int) -> FactorReport:
     n = F.degree
 
     if n <= _FULL_FACTOR_DEGREE:
-        factors, primes = _factor_over_Q(F, _DEGREE_CAP, _PRIME_BUDGET)
+        factors, primes = _factor_over_Q(F)
         assert factors is not None
         verdict = "Irreducible" if len(factors) == 1 else "Reducible"
         return FactorReport(

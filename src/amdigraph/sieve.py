@@ -244,9 +244,10 @@ def validate_certificate(cert: Certificate) -> bool:
         ell = cert.witness
         need(ell is not None, "missing witness")
         assert ell is not None
+        # the interval first: it bounds the witness, and so the primality test, by k
+        need(1 < ell and ell * (cert.d - 1) < cert.k + 1, "witness outside interval")
         need(len(primes_in(ell, ell + 1)) == 1, "witness not prime")
         need(gcd(ell, cert.k) == 1, "witness shares a factor with k")
-        need(1 < ell and ell * (cert.d - 1) < cert.k + 1, "witness outside interval")
         sys = build_trace_system(cert.d, cert.k)
         need(check_infeasible(sys, ell), "trace system not infeasible")
     elif cert.method == "ConjectureElimination":

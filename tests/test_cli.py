@@ -347,3 +347,15 @@ def test_oracle_check_corrupted_file_exits_three(tmp_path: Path, capsys: pytest.
     short.write_text(g.serialize(2, 2).replace("6 2 2", "6 2 3"))
     assert main(["oracle", "check", str(short)]) == 3
     assert "FAIL OrderMismatch: 6 != 14" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k", [20000, 100000000])
+def test_oracle_check_huge_k_header_exits_three(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str], k: int
+) -> None:
+    # a valid (2,2) instance under a header whose order d + ... + d^k has
+    # thousands of digits: the check stops the sum once it passes n
+    path = tmp_path / "huge.dig"
+    path.write_text(gen_line_digraph_complete(2).serialize(2, 2).replace("6 2 2", f"6 2 {k}"))
+    assert main(["oracle", "check", str(path)]) == 3
+    assert f"FAIL OrderMismatch: 6 != 2 + ... + 2^{k} > 14" in capsys.readouterr().out

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amdigraph import _gf, factorization
-from amdigraph.algebra import IntPoly, euler_phi, poly_divexact, poly_mul, prime_range_from, primes_in
+from amdigraph.algebra import IntPoly, euler_phi, poly_mul, prime_range_from, primes_in
 from amdigraph.cyclotomic import build_F, cyclotomic
 from amdigraph.factorization import (
     NoUsablePrime,
@@ -107,31 +107,40 @@ def test_certify_irreducible_reducible_input_stays_unknown() -> None:
     assert out.degree_set == frozenset({0, 1, 2})
 
 
-def test_certify_irreducible_env_budget(monkeypatch: pytest.MonkeyPatch) -> None:
-    for budget in (5, 6):
-        monkeypatch.setenv("AMD_PRIME_BUDGET", str(budget))
-        out = certify_irreducible(IntPoly((-1, 0, 1)))
-        assert out.status == "Unknown"
-        assert len(out.primes_used) == budget
-
-
 def test_certify_tower_stops_at_scan_cap(monkeypatch: pytest.MonkeyPatch) -> None:
     # Phi_12 does not divide F_{12,26}, so no peeled sample is ever usable;
     # the scan must stop after 64 * budget primes p = 1 (mod 12)
-    monkeypatch.setenv("AMD_PRIME_BUDGET", "4")
+    cap = 64 * factorization._PRIME_BUDGET
     scanned: list[int] = []
     roots = factorization._primitive_ith_roots
 
     def spy(i, p):
         scanned.append(p)
-        if len(scanned) > 1000:
+        if len(scanned) > cap:
             raise RuntimeError("tower scan did not stop")
         return roots(i, p)
 
     monkeypatch.setattr(factorization, "_primitive_ith_roots", spy)
     assert factorization._certify_tower(12, 26, peel=True) == (False, ())
-    assert len(scanned) == 64 * 4
+    assert len(scanned) == cap
     assert all((p - 1) % 12 == 0 for p in scanned)
+
+
+def test_certify_irreducible_budget_is_not_read_from_the_environment(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the budget is a constant: an AMD_PRIME_BUDGET left in the environment
+    # changes neither the primes spent nor the verdict
+    monkeypatch.setenv("AMD_PRIME_BUDGET", "4")
+    out = certify_irreducible(build_F(5, 8))
+    assert out.status == "Unknown"
+    assert out.primes_used == _FIRST_24
+
+
+def test_certify_irreducible_factors_the_primitive_part() -> None:
+    # 2(x^4 + 1) splits mod every prime, so only the fallback settles it,
+    # and irreducibility over Q ignores the content 2
+    out = certify_irreducible(IntPoly((2, 0, 0, 0, 2)))
+    assert out.is_irreducible
+    assert out.degree_set == frozenset({0, 2, 4})
 
 
 def test_certify_irreducible_linear_is_trivial() -> None:
@@ -176,7 +185,16 @@ def test_factor_over_Q_rebuilds_product_exactly() -> None:
 
 
 def test_factor_over_Q_degree_cap_returns_none() -> None:
-    assert factor_over_Q(build_F(3, 30), degree_cap=10) is None
+    over_cap = IntPoly.monomial(factorization._DEGREE_CAP + 1) - IntPoly.one()
+    assert factor_over_Q(over_cap) is None
+
+
+def test_factor_over_Q_without_a_usable_prime_raises(monkeypatch: pytest.MonkeyPatch) -> None:
+    # squarefree by the exact gcd, but no reduction is usable: the cached
+    # scan finds no image and _factor_over_Q gives up
+    monkeypatch.setattr(factorization, "_reductions", lambda poly, primes: ((p, []) for p in primes))
+    with pytest.raises(NoUsablePrime):
+        factorization._factor_over_Q(IntPoly((1, 0, 1)))
 
 
 def test_factor_over_Q_rejects_repeated_factors() -> None:
@@ -388,31 +406,6 @@ def _record_gf_factor(monkeypatch: pytest.MonkeyPatch) -> list[int]:
     return primes
 
 
-def test_certify_irreducible_budget_four_pinned(monkeypatch: pytest.MonkeyPatch) -> None:
-    # four usable primes are fewer than the five the Hensel prime is chosen
-    # from, so the fifth count (113) is computed past the scan; recorded at
-    # the commit before the scan's factor counts chose the Hensel prime
-    monkeypatch.setenv("AMD_PRIME_BUDGET", "4")
-    results = []
-    factor_over_Q = factorization._factor_over_Q
-
-    def spy(*args, **kwargs):
-        results.append(factor_over_Q(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(factorization, "_factor_over_Q", spy)
-    factored = _record_gf_factor(monkeypatch)
-    F = build_F(5, 8)
-    out = certify_irreducible(F)
-    assert out.status == "Unknown"
-    assert out.primes_used == (101, 103, 107, 109)
-    assert out.degree_set == frozenset(range(0, 33, 4))
-    [(factors, primes)] = results
-    assert [g.coeffs for g in factors] == [(1, -1, 1, -1, 1), poly_divexact(F, cyclotomic(10)).coeffs]
-    assert primes == (101, 103, 107, 109)
-    assert factored == [103]
-
-
 def _five_prime_hensel_choice(f: IntPoly) -> int:
     """The Hensel-prime loop the scan's factor counts replaced: factor f mod
     each of the first five usable primes, keep the first with fewest factors."""
@@ -444,9 +437,7 @@ def test_factor_over_Q_factors_mod_p_once(monkeypatch: pytest.MonkeyPatch) -> No
             expected = _five_prime_hensel_choice(F)
             with monkeypatch.context() as m:
                 factored = _record_gf_factor(m)
-                factors, primes = factorization._factor_over_Q(
-                    F, factorization._DEGREE_CAP, factorization._PRIME_BUDGET
-                )
+                factors, primes = factorization._factor_over_Q(F)
             assert factors is not None
             if len(factors) > 1:
                 reducible += 1
@@ -496,17 +487,6 @@ def test_factor_over_Q_after_certify_irreducible_reuses_the_analysis(
     calls = _count_fp_calls(monkeypatch)
     assert factor_over_Q(F) == cold
     assert calls == {"gf_distinct_degree_list": 0, "gf_factor": 0}
-
-
-def test_certify_irreducible_budget_change_is_not_served_a_stale_scan(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    F = build_F(5, 8)
-    assert len(certify_irreducible(F).primes_used) == 24
-    monkeypatch.setenv("AMD_PRIME_BUDGET", "5")
-    out = certify_irreducible(F)
-    assert out.status == "Unknown"
-    assert out.primes_used == (101, 103, 107, 109, 113)
 
 
 def test_certify_irreducible_of_negation_shares_the_entry(monkeypatch: pytest.MonkeyPatch) -> None:

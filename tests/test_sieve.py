@@ -220,8 +220,12 @@ def test_validate_certificate_rejects_tampering(monkeypatch: pytest.MonkeyPatch)
     witness_cert = decide(6, 11)
     elim_cert = decide(4, 6)
 
-    bad = replace(witness_cert, witness=4)
+    bad = replace(decide(4, 25), witness=4)  # inside the interval (ell <= 8)
     with pytest.raises(CertificateError, match="not prime"):
+        validate_certificate(bad)
+
+    bad = replace(witness_cert, witness=4)
+    with pytest.raises(CertificateError, match="outside interval"):
         validate_certificate(bad)
 
     bad = replace(witness_cert, witness=None)
@@ -273,6 +277,14 @@ def test_validate_certificate_rejects_tampering(monkeypatch: pytest.MonkeyPatch)
     monkeypatch.setattr(sieve, "build_trace_system", lambda d, k: uneven)
     with pytest.raises(CertificateError, match="not infeasible"):
         validate_certificate(witness_cert)
+
+
+def test_validate_certificate_bounds_the_witness_before_testing_it() -> None:
+    # a primality test by trial division up to sqrt(10^30) would never end;
+    # the interval check rejects the witness first
+    bad = replace(decide(6, 11), witness=10**30 + 57)
+    with pytest.raises(CertificateError, match="outside interval"):
+        validate_certificate(bad)
 
 
 def test_validate_certificate_threshold_branch() -> None:
