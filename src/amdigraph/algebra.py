@@ -11,7 +11,7 @@ is both simpler and fast enough.
 """
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 
@@ -305,21 +305,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def primes_in(lo: int, hi: int) -> list[int]:
-    """Primes in the half-open interval [lo, hi), ascending."""
-    lo = max(lo, 2)
-    if hi <= lo:
-        return []
-    size = hi - lo
-    sieve = bytearray([1]) * size
-    for p in range(2, isqrt(hi - 1) + 1):
-        start = max(p * p, (lo + p - 1) // p * p)
-        if start < hi:
-            run = len(range(start - lo, size, p))
-            sieve[start - lo :: p] = bytes(run)
-    return [lo + i for i in range(size) if sieve[i]]
 
 
 def prime_range_from(start: int) -> Iterator[int]:

@@ -109,6 +109,8 @@ class Digraph:
         if len(head) != 3:
             raise ValueError("header must be 'n d k'")
         n, d, k = (int(x) for x in head)
+        if d < 2 or k < 2:
+            raise ValueError(f"header needs d >= 2 and k >= 2, got d={d} k={k}")
         if len(data) != n + 1:
             raise ValueError(f"expected {n} out-lists, found {len(data) - 1}")
         out = tuple(tuple(int(w) for w in line.split()) for line in data[1:])

@@ -15,10 +15,10 @@ elimination filling the remaining cells.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd
 
-from .algebra import divisors as all_divisors, primes_in
+from .algebra import divisors as all_divisors
 from .cyclotomic import ramanujan_sum
 from .factorization import (
     CONJECTURE_READINGS,
@@ -36,6 +36,7 @@ __all__ = [
     "threshold_covered",
     "build_trace_system",
     "check_infeasible",
+    "settled",
     "decide",
     "validate_certificate",
 ]
@@ -72,7 +73,11 @@ class TraceSystem:
     k: int
     ell_max: int  # largest ell with ell*(d-1) < k+1
     divisors: tuple[int, ...]
-    S_table: tuple[tuple[int, ...], ...]  # row ell-1 holds S_ell(Phi_n) per n
+    rows: dict[int, tuple[int, ...]]  # divisor h <= ell_max of k -> S_h(Phi_n) per n
+
+    def row(self, ell: int) -> tuple[int, ...]:
+        """S_ell(Phi_n) per n: every n divides k, so S_ell = S_h with h = gcd(ell, k)."""
+        return self.rows[gcd(ell, self.k)]
 
 
 @dataclass(frozen=True)
@@ -123,14 +128,17 @@ class CertificateError(AssertionError):
 
 
 def prime_witness(d: int, k: int) -> int | None:
-    """Smallest prime ell with gcd(ell, k) = 1 and 1 < ell < (k+1)/(d-1)."""
+    """Smallest prime ell with gcd(ell, k) = 1 and 1 < ell < (k+1)/(d-1).
+
+    The least integer ell > 1 coprime to k is that prime: a prime factor of
+    it would be smaller and coprime to k too.  k+1 bounds the scan."""
     if d < 2 or k < 2:
         raise ValueError("prime_witness expects d >= 2 and k >= 2")
+    ell = 2
+    while gcd(ell, k) != 1:
+        ell += 1
     # ell*(d-1) < k+1 <=> ell <= k // (d-1) over the integers
-    for ell in primes_in(2, k // (d - 1) + 1):
-        if gcd(ell, k) == 1:
-            return ell
-    return None
+    return ell if ell <= k // (d - 1) else None
 
 
 def threshold_covered(d: int, k: int) -> tuple[bool, str | None]:
@@ -147,137 +155,113 @@ def threshold_covered(d: int, k: int) -> tuple[bool, str | None]:
 
 def build_trace_system(d: int, k: int) -> TraceSystem:
     """Constraint rows 0 = d^ell + sum_n a_n S_ell(Phi_n) for every ell with
-    ell*(d-1) < k+1 (strict), n ranging over the divisors of k above 1.
-    Every n divides k, so S_ell(Phi_n) = S_h(Phi_n) with h = gcd(ell, k):
-    one row per divisor h <= ell_max of k serves its whole gcd class."""
+    ell*(d-1) < k+1 (strict), n ranging over the divisors of k above 1, kept
+    as one row per gcd class: the divisors h <= ell_max of k."""
     if d < 2 or k < 2:
         raise ValueError("build_trace_system expects d >= 2 and k >= 2")
     ell_max = k // (d - 1)
     all_divs = all_divisors(k)
     divs = tuple(all_divs[1:])
-    row = {h: tuple(ramanujan_sum(h, n) for n in divs) for h in all_divs if h <= ell_max}
-    table = tuple(row[gcd(ell, k)] for ell in range(1, ell_max + 1))
-    return TraceSystem(d, k, ell_max, divs, table)
+    rows = {h: tuple(ramanujan_sum(h, n) for n in divs) for h in all_divs if h <= ell_max}
+    return TraceSystem(d, k, ell_max, divs, rows)
 
 
 def check_infeasible(sys: TraceSystem, ell: int) -> bool:
     """The mu-collapse at ell (1 < ell <= ell_max): rows 1 and ell agree, so
     subtracting them forces d^ell = d, which fails.  A prime ell coprime to k
     always collapses, as S_ell(Phi_n) = mu(n) = S_1(Phi_n) for every n | k."""
-    return sys.S_table[0] == sys.S_table[ell - 1] and sys.d**ell != sys.d
+    return sys.row(1) == sys.row(ell) and sys.d**ell != sys.d
+
+
+def settled(d: int, k: int) -> Certificate | None:
+    """The rules that settle a cell without conjecture: k = 2 existence;
+    k in {3,4} literature; d in {2,3} literature; prime witness (a witness
+    for d covers every smaller degree, the interval only widens).  None when
+    no rule applies."""
+    if k == 2:
+        verdict, method, key = "Exists", "Known_k2", "k2_exists"
+    elif k in (3, 4):
+        verdict, method, key = "NotExistSelfRepeat", "Literature_k34", "k34"
+    elif d in (2, 3):
+        verdict, method, key = "NotExistSelfRepeat", "Literature_d23", f"d{d}"
+    else:
+        w = prime_witness(d, k)
+        if w is None:
+            return None
+        return Certificate(
+            d=d, k=k, verdict="NotExistSelfRepeat", method="PrimeWitness",
+            witness=w, checked_i=(), assumptions=(),
+        )
+    return Certificate(
+        d=d, k=k, verdict=verdict, method=method,
+        witness=None, checked_i=(), assumptions=LITERATURE[key],
+    )
 
 
 def decide(d: int, k: int) -> Certificate:
-    """Decision pipeline for (d,k)-digraphs with self-repeats.
-
-    Order: k = 2 existence; k in {3,4} literature; d in {2,3} literature;
-    prime witness (a witness for d covers every smaller degree, the interval
-    only widens); conjecture-conditional elimination over i in 3..d-1;
-    otherwise Unknown.
-    """
+    """Decision pipeline for (d,k)-digraphs with self-repeats: the settled
+    rules first, then conjecture-conditional elimination over i in 3..d-1,
+    otherwise Unknown."""
     if d < 2 or k < 2:
         raise ValueError("decide expects d >= 2 and k >= 2")
-    base = dict(d=d, k=k, witness=None, checked_i=(), assumptions=())
-    if k == 2:
-        return Certificate(
-            verdict="Exists",
-            method="Known_k2",
-            **{**base, "assumptions": LITERATURE["k2_exists"]},
-        )
-    if k in (3, 4):
-        return Certificate(
-            verdict="NotExistSelfRepeat",
-            method="Literature_k34",
-            **{**base, "assumptions": LITERATURE["k34"]},
-        )
-    if d in (2, 3):
-        key = "d2" if d == 2 else "d3"
-        return Certificate(
-            verdict="NotExistSelfRepeat",
-            method="Literature_d23",
-            **{**base, "assumptions": LITERATURE[key]},
-        )
-    w = prime_witness(d, k)
-    if w is not None:
-        return Certificate(
-            verdict="NotExistSelfRepeat",
-            method="PrimeWitness",
-            **{**base, "witness": w},
-        )
+    cert = settled(d, k)
+    if cert is not None:
+        return cert
     verdicts = [conjecture_verdict(i, k) for i in range(3, d)]
     checked = tuple(CheckedCell.from_verdict(v) for v in verdicts)
+    base = dict(d=d, k=k, method="ConjectureElimination", witness=None, checked_i=checked)
     if checked and all(v.match == "Consistent" for v in verdicts):
         return Certificate(
-            verdict="NotExistSelfRepeat",
-            method="ConjectureElimination",
-            **{**base, "checked_i": checked, "assumptions": LITERATURE["conjecture"]},
+            verdict="NotExistSelfRepeat", assumptions=LITERATURE["conjecture"], **base
         )
-    return Certificate(
-        verdict="Unknown",
-        method="ConjectureElimination",
-        **{**base, "checked_i": checked},
-    )
+    return Certificate(verdict="Unknown", assumptions=(), **base)
 
 
 def validate_certificate(cert: Certificate) -> bool:
     """Re-check a certificate from first principles; raises CertificateError
-    with the failing condition, returns True when everything re-verifies."""
+    with the failing condition, returns True when everything re-verifies.
+
+    A settled cell is decided again and must match field by field; a prime
+    witness is then checked on the trace system rebuilt from (d, k)."""
 
     def need(cond: bool, what: str):
         if not cond:
             raise CertificateError(f"({cert.d},{cert.k}) {cert.method}: {what}")
 
     need(cert.d >= 2 and cert.k >= 2, "outside d >= 2, k >= 2")
-    need(
-        cert.verdict in ("Exists", "NotExistSelfRepeat", "Unknown"),
-        "unknown verdict tag",
-    )
-    if cert.method == "Known_k2":
-        need(cert.k == 2 and cert.verdict == "Exists", "k=2 table misuse")
-    elif cert.method == "Literature_k34":
-        need(cert.k in (3, 4), "k not in {3,4}")
-        need(cert.verdict == "NotExistSelfRepeat", "verdict mismatch")
-    elif cert.method == "Literature_d23":
-        need(cert.d in (2, 3) and cert.k >= 3, "d not in {2,3}")
-        need(cert.verdict == "NotExistSelfRepeat", "verdict mismatch")
-    elif cert.method == "PrimeWitness":
-        ell = cert.witness
-        need(ell is not None, "missing witness")
-        assert ell is not None
-        # the interval first: it bounds the witness, and so the primality test, by k
-        need(1 < ell and ell * (cert.d - 1) < cert.k + 1, "witness outside interval")
-        need(len(primes_in(ell, ell + 1)) == 1, "witness not prime")
-        need(gcd(ell, cert.k) == 1, "witness shares a factor with k")
-        sys = build_trace_system(cert.d, cert.k)
-        need(check_infeasible(sys, ell), "trace system not infeasible")
-    elif cert.method == "ConjectureElimination":
-        for cell in cert.checked_i:
+    expected = settled(cert.d, cert.k)
+    if expected is not None:
+        for f in fields(Certificate):
             need(
-                cell.predicted_reducible_a == CONJECTURE_READINGS["A"](cell.i, cert.k)
-                and cell.predicted_reducible_b
-                == CONJECTURE_READINGS["B"](cell.i, cert.k),
-                f"stored prediction wrong at i={cell.i}",
+                getattr(cert, f.name) == getattr(expected, f.name),
+                f"{f.name} differs from the decided certificate",
             )
-        if cert.verdict == "NotExistSelfRepeat":
-            need(
-                tuple(c.i for c in cert.checked_i) == tuple(range(3, cert.d)),
-                "checked_i does not cover 3..d-1",
-            )
-            need(
-                all(c.match == "Consistent" for c in cert.checked_i),
-                "inconsistent cell inside elimination certificate",
-            )
-            need(
-                any("cggmm14" in a for a in cert.assumptions),
-                "missing conjecture-implication assumption",
-            )
-        else:
-            need(cert.verdict == "Unknown", "verdict mismatch")
-    else:
-        need(False, "unknown method tag")
-    if cert.assumptions:
+        if cert.method == "PrimeWitness":
+            sys = build_trace_system(cert.d, cert.k)
+            need(check_infeasible(sys, cert.witness), "trace system not infeasible")
+        return True
+    need(cert.method == "ConjectureElimination", "no settled rule applies to this cell")
+    need(cert.witness is None, "witness on a conjecture cell")
+    for cell in cert.checked_i:
         need(
-            all(":" in a for a in cert.assumptions),
-            "assumption entries must be citation strings",
+            cell.predicted_reducible_a == CONJECTURE_READINGS["A"](cell.i, cert.k)
+            and cell.predicted_reducible_b == CONJECTURE_READINGS["B"](cell.i, cert.k),
+            f"stored prediction wrong at i={cell.i}",
         )
+    if cert.verdict == "NotExistSelfRepeat":
+        need(
+            tuple(c.i for c in cert.checked_i) == tuple(range(3, cert.d)),
+            "checked_i does not cover 3..d-1",
+        )
+        need(
+            all(c.match == "Consistent" for c in cert.checked_i),
+            "inconsistent cell inside elimination certificate",
+        )
+        need(
+            cert.assumptions == LITERATURE["conjecture"],
+            "assumptions are not the conjecture implication",
+        )
+    else:
+        need(cert.verdict == "Unknown", "verdict mismatch")
+        need(cert.assumptions == (), "assumptions on an Unknown certificate")
     return True

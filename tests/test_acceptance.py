@@ -144,7 +144,7 @@ def test_criterion_3_witness_trace_agreement() -> None:
             sys = build_trace_system(d, k)
             if not (
                 check_infeasible(sys, w)
-                and sys.S_table[0] == sys.S_table[w - 1]
+                and sys.row(1) == sys.row(w)
                 and d**w != d
             ):
                 problems.append(f"({d},{k}) witness {w} does not collapse rows 1 and {w}")

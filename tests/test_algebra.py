@@ -19,9 +19,8 @@ from amdigraph.algebra import (
     poly_divmod,
     poly_mul,
     prime_range_from,
-    primes_in,
 )
-from oracles import evaluate
+from oracles import evaluate, primes_in
 
 coeff = st.integers(min_value=-(10**6), max_value=10**6)
 small_poly = st.lists(coeff, min_size=0, max_size=33).map(IntPoly)

@@ -349,6 +349,19 @@ def test_oracle_check_corrupted_file_exits_three(tmp_path: Path, capsys: pytest.
     assert "FAIL OrderMismatch: 6 != 14" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cmd", ["check", "report"])
+@pytest.mark.parametrize("header", ["6 2 1", "6 1 2", "6 2 -5"])
+def test_oracle_header_below_two_exits_one(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str], cmd: str, header: str
+) -> None:
+    path = tmp_path / "low.dig"
+    path.write_text(gen_line_digraph_complete(2).serialize(2, 2).replace("6 2 2", header))
+    assert main(["oracle", cmd, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parse error: header needs d >= 2 and k >= 2" in captured.err
+
+
 @pytest.mark.parametrize("k", [20000, 100000000])
 def test_oracle_check_huge_k_header_exits_three(
     tmp_path: Path, capsys: pytest.CaptureFixture[str], k: int

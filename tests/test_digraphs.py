@@ -88,6 +88,8 @@ def test_parse_rejects_malformed_input() -> None:
         Digraph.parse("2 2 2\n0 1\n")
     with pytest.raises(ValueError, match="out of range"):
         Digraph.parse("2 2 2\n0 7\n0 1\n")
+    with pytest.raises(ValueError, match="d >= 2 and k >= 2"):
+        Digraph.parse("2 2 1\n1\n0\n")
 
 
 def test_fixture_repeat_permutations() -> None:

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amdigraph import _gf, factorization
-from amdigraph.algebra import IntPoly, euler_phi, poly_mul, prime_range_from, primes_in
+from amdigraph.algebra import IntPoly, euler_phi, poly_mul, prime_range_from
 from amdigraph.cyclotomic import build_F, cyclotomic
 from amdigraph.factorization import (
     NoUsablePrime,
@@ -18,6 +18,7 @@ from amdigraph.factorization import (
     score_conjecture,
     split_index,
 )
+from oracles import primes_in
 
 
 def _sympy_degrees(poly: IntPoly) -> list[int]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -23,20 +24,26 @@ from amdigraph.sieve import (
     threshold_covered,
     validate_certificate,
 )
+from oracles import primes_in
+
+
+def _table(sys: sieve.TraceSystem) -> tuple[tuple[int, ...], ...]:
+    # row ell-1 holds S_ell(Phi_n) per n, through the gcd-class lookup
+    return tuple(sys.row(ell) for ell in range(1, sys.ell_max + 1))
 
 
 def test_trace_system_6_11() -> None:
     sys = build_trace_system(6, 11)
     assert sys.ell_max == 2
     assert sys.divisors == (11,)
-    assert sys.S_table == ((-1,), (-1,))
+    assert _table(sys) == ((-1,), (-1,))
 
 
 def test_trace_system_4_9() -> None:
     sys = build_trace_system(4, 9)
     assert sys.ell_max == 3
     assert sys.divisors == (3, 9)
-    assert sys.S_table == ((-1, 0), (-1, 0), (2, -3))
+    assert _table(sys) == ((-1, 0), (-1, 0), (2, -3))
 
 
 def _per_ell_table(k: int, ell_max: int) -> tuple[tuple[int, ...], ...]:
@@ -49,16 +56,16 @@ def _per_ell_table(k: int, ell_max: int) -> tuple[tuple[int, ...], ...]:
 
 def test_trace_table_matches_per_ell_definition() -> None:
     for k in range(2, 301):
-        table = build_trace_system(2, k).S_table
+        table = _table(build_trace_system(2, k))
         assert table == _per_ell_table(k, k)
         for d in range(3, 13):
-            assert build_trace_system(d, k).S_table == table[: k // (d - 1)]
+            assert _table(build_trace_system(d, k)) == table[: k // (d - 1)]
 
 
 @pytest.mark.parametrize("k", [5040, 20000])
 def test_trace_table_matches_per_ell_definition_large_k(k: int) -> None:
     sys = build_trace_system(12, k)
-    assert sys.S_table == _per_ell_table(k, k // 11)
+    assert _table(sys) == _per_ell_table(k, k // 11)
 
 
 def test_prime_witness_known_values() -> None:
@@ -130,7 +137,7 @@ def test_witness_cells_mu_collapse(d: int, k: int) -> None:
         return
     sys = build_trace_system(d, k)
     assert check_infeasible(sys, w)
-    assert sys.S_table[0] == sys.S_table[w - 1]
+    assert sys.row(1) == sys.row(w)
     assert d**w != d
 
 
@@ -220,24 +227,24 @@ def test_validate_certificate_rejects_tampering(monkeypatch: pytest.MonkeyPatch)
     witness_cert = decide(6, 11)
     elim_cert = decide(4, 6)
 
-    bad = replace(decide(4, 25), witness=4)  # inside the interval (ell <= 8)
-    with pytest.raises(CertificateError, match="not prime"):
+    bad = replace(decide(4, 25), witness=4)  # inside the interval (ell <= 8), not prime
+    with pytest.raises(CertificateError, match="witness differs"):
         validate_certificate(bad)
 
-    bad = replace(witness_cert, witness=4)
-    with pytest.raises(CertificateError, match="outside interval"):
+    bad = replace(witness_cert, witness=4)  # outside the interval
+    with pytest.raises(CertificateError, match="witness differs"):
         validate_certificate(bad)
 
     bad = replace(witness_cert, witness=None)
-    with pytest.raises(CertificateError, match="missing witness"):
+    with pytest.raises(CertificateError, match="witness differs"):
         validate_certificate(bad)
 
     bad = replace(witness_cert, witness=13)
-    with pytest.raises(CertificateError, match="outside interval"):
+    with pytest.raises(CertificateError, match="witness differs"):
         validate_certificate(bad)
 
-    bad = replace(decide(4, 9), witness=3)
-    with pytest.raises(CertificateError, match="shares a factor"):
+    bad = replace(decide(4, 9), witness=3)  # shares a factor with k
+    with pytest.raises(CertificateError, match="witness differs"):
         validate_certificate(bad)
 
     bad = replace(decide(7, 2), d=1)
@@ -245,7 +252,7 @@ def test_validate_certificate_rejects_tampering(monkeypatch: pytest.MonkeyPatch)
         validate_certificate(bad)
 
     bad = replace(elim_cert, assumptions=("someone00: unrelated claim",))
-    with pytest.raises(CertificateError, match="conjecture-implication"):
+    with pytest.raises(CertificateError, match="conjecture implication"):
         validate_certificate(bad)
 
     bad = replace(elim_cert, checked_i=())
@@ -260,30 +267,32 @@ def test_validate_certificate_rejects_tampering(monkeypatch: pytest.MonkeyPatch)
         validate_certificate(wrong_pred)
 
     bad = replace(witness_cert, verdict="Impossible")
-    with pytest.raises(CertificateError, match="verdict tag"):
+    with pytest.raises(CertificateError, match="verdict differs"):
         validate_certificate(bad)
 
     bad = replace(witness_cert, method="PrimeOracle")
-    with pytest.raises(CertificateError, match="method tag"):
+    with pytest.raises(CertificateError, match="method differs"):
         validate_certificate(bad)
 
     bad = replace(elim_cert, assumptions=("cggmm14 but no separator",))
-    with pytest.raises(CertificateError, match="citation strings"):
+    with pytest.raises(CertificateError, match="conjecture implication"):
         validate_certificate(bad)
 
     # the validator consults the trace rows: unequal rows 1 and w fail it
+    # (a k = 22 system puts ell = 2 in its own gcd class, with another row)
     rows = build_trace_system(6, 11)
-    uneven = replace(rows, S_table=(rows.S_table[0], (0,)))
+    uneven = replace(rows, k=22, rows={**rows.rows, 2: (0,)})
+    assert uneven.row(1) != uneven.row(2)
     monkeypatch.setattr(sieve, "build_trace_system", lambda d, k: uneven)
     with pytest.raises(CertificateError, match="not infeasible"):
         validate_certificate(witness_cert)
 
 
 def test_validate_certificate_bounds_the_witness_before_testing_it() -> None:
-    # a primality test by trial division up to sqrt(10^30) would never end;
-    # the interval check rejects the witness first
+    # 6^(10^30) would never finish; the comparison with the decided witness
+    # rejects the witness before the trace check sees it
     bad = replace(decide(6, 11), witness=10**30 + 57)
-    with pytest.raises(CertificateError, match="outside interval"):
+    with pytest.raises(CertificateError, match="witness differs"):
         validate_certificate(bad)
 
 
@@ -293,7 +302,7 @@ def test_validate_certificate_threshold_branch() -> None:
     base = decide(6, 50)
     assert base.method == "PrimeWitness"
     for method in ("ThresholdEven", "ThresholdOdd"):
-        with pytest.raises(CertificateError, match="unknown method tag"):
+        with pytest.raises(CertificateError, match="method differs"):
             validate_certificate(replace(base, method=method, witness=None))
 
 
@@ -309,3 +318,82 @@ def test_every_emitted_certificate_validates(d: int, k: int) -> None:
     cert = decide(d, k)
     assert validate_certificate(cert)
     assert cert.verdict in ("Exists", "NotExistSelfRepeat", "Unknown")
+
+
+_VERDICTS = ("Exists", "NotExistSelfRepeat", "Unknown")
+_METHODS = (
+    "Known_k2", "Literature_k34", "Literature_d23", "PrimeWitness", "ConjectureElimination",
+)
+
+
+def _one_field_changes(cert: Certificate) -> list[Certificate]:
+    w = cert.witness
+    witnesses = {None, 1, -1} if w is None else {w + 1, w - 1, None}
+    extra = CheckedCell(
+        i=3, predicted_reducible_a=False, predicted_reducible_b=False,
+        observed_degrees=(2 * cert.k,), primes_used=(101,),
+    )
+    return (
+        [replace(cert, verdict=v) for v in _VERDICTS if v != cert.verdict]
+        + [replace(cert, method=m) for m in _METHODS if m != cert.method]
+        + [replace(cert, witness=x) for x in witnesses - {w}]
+        + [
+            replace(cert, assumptions=a)
+            for a in {(), *LITERATURE.values()} - {cert.assumptions}
+        ]
+        + [replace(cert, checked_i=cert.checked_i + (extra,))]
+    )
+
+
+def test_validate_certificate_rejects_every_one_field_change_of_a_settled_cell() -> None:
+    settled_cells = 0
+    for d in range(2, 13):
+        for k in range(2, 41):
+            cert = decide(d, k)
+            if cert.method == "ConjectureElimination":
+                continue
+            settled_cells += 1
+            for bad in _one_field_changes(cert):
+                with pytest.raises(CertificateError, match="differs from the decided"):
+                    validate_certificate(bad)
+    assert settled_cells == 295
+
+
+def test_validate_certificate_pins_the_verdict_and_the_citations() -> None:
+    # a false Exists on a witnessed cell, and a literature cell with no citation
+    with pytest.raises(CertificateError, match="verdict differs"):
+        validate_certificate(replace(decide(6, 11), verdict="Exists"))
+    with pytest.raises(CertificateError, match="assumptions differs"):
+        validate_certificate(replace(decide(7, 3), assumptions=()))
+
+
+def test_validate_certificate_conjecture_cell_fields() -> None:
+    elim = decide(4, 6)
+    with pytest.raises(CertificateError, match="witness on a conjecture cell"):
+        validate_certificate(replace(elim, witness=2))
+    with pytest.raises(CertificateError, match="assumptions on an Unknown"):
+        validate_certificate(replace(elim, verdict="Unknown"))
+    with pytest.raises(CertificateError, match="no settled rule"):
+        validate_certificate(replace(elim, method="PrimeWitness", witness=2))
+
+
+def test_prime_witness_is_the_least_coprime_prime() -> None:
+    # the definition by a prime sieve, which the package no longer needs
+    primes = primes_in(2, 5001)
+    for d in range(2, 13):
+        for k in range(2, 5001):
+            inside = takewhile(lambda p: p <= k // (d - 1), primes)
+            old = next((p for p in inside if math.gcd(p, k) == 1), None)
+            assert prime_witness(d, k) == old, (d, k)
+
+
+def test_validate_certificate_at_huge_k_keeps_one_row_per_gcd_class() -> None:
+    # 10^12 + 1 = 73 * 137 * 99990001: eight divisors, seven of them <= ell_max
+    k = 10**12 + 1
+    cert = decide(6, k)
+    assert (cert.method, cert.witness) == ("PrimeWitness", 2)
+    assert validate_certificate(cert)
+    sys = build_trace_system(6, k)
+    assert sys.ell_max == k // 5
+    assert len(sys.rows) == 7
+    assert check_infeasible(sys, 2)
