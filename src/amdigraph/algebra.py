@@ -1,7 +1,7 @@
 """Exact integer polynomial arithmetic and elementary number theory.
 
-Everything downstream (cyclotomic construction, trace systems, characteristic
-polynomials) works with monic-up-to-sign integer polynomials, so coefficients
+Everything downstream (cyclotomic construction, factorization, trace
+systems) works with monic-up-to-sign integer polynomials, so coefficients
 are arbitrary-precision ints throughout and no rational arithmetic appears.
 
 Polynomials are dense: ``coeffs[j]`` is the coefficient of ``x**j`` and the
@@ -330,16 +330,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def mobius(n: int) -> int:
-    """Mobius function: (-1)**omega(n) on squarefree n, else 0."""
-    if n < 1:
-        raise ValueError("mobius expects n >= 1")
-    f = factorize(n)
-    if any(e > 1 for e in f.values()):
-        return 0
-    return -1 if len(f) % 2 else 1
 
 
 def euler_phi(n: int) -> int:

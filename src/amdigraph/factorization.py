@@ -3,20 +3,21 @@
 One degree-set engine, ``_intersect``, serves every certificate here.  It
 reads a stream of (prime, mod-p images), ANDs together the subset-sum
 closures of the images' factor-degree multisets, and stops at {0, deg}
-(irreducible), after a budget of contributing primes, or after 64 * budget
-primes scanned; it also counts the mod-p factors at each contributing prime.
-Never a false positive: every true rational factor degree survives in each
-closure.  The budget is 24 usable primes (``_PRIME_BUDGET``) for the
-certifiers and ``factor_over_Q``, and every given prime for ``degree_set``.
+(irreducible), after 24 contributing primes (``_PRIME_BUDGET``), or after
+64 * 24 primes scanned; it also counts the mod-p factors at each
+contributing prime.  Never a false positive: every true rational factor
+degree survives in each closure.
 
 The scan from _PRIME_FLOOR and the rational factorization are memoised per
 sign-normalised polynomial in bounded caches (``_CACHE_SIZE`` entries each),
 so ``certify_irreducible`` after ``factor_over_Q`` on the same polynomial, or
 the reverse, reuses the scan and the Hensel factorization instead of
-repeating them.  Three users:
+repeating them.  The scan starts with the squarefree gate
+(``_require_squarefree``), so a repeated factor ends it after 41 primes
+with NotSquarefree.  Three users:
 
-* degree-set certification (``degree_set``, ``certify_irreducible``) over
-  the squarefree full-degree reductions that ``_reductions`` yields;
+* degree-set certification (``certify_irreducible``) over the squarefree
+  full-degree reductions that ``_reductions`` yields;
 * full rational factorization: Hensel lifting of one mod-p factorization,
   at the prime with the fewest factors, plus recombination pruned by the
   degree set.  The reducible F_{i,k} split into just two factors, which
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 from math import gcd, isqrt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -58,7 +59,6 @@ __all__ = [
     "NotSquarefree",
     "ConjectureVerdict",
     "CONJECTURE_READINGS",
-    "degree_set",
     "certify_irreducible",
     "factor_over_Q",
     "score_conjecture",
@@ -170,39 +170,49 @@ def _reductions(poly: IntPoly, primes: Iterable[int]) -> Iterator[tuple[int, lis
 
 
 def _intersect(
-    n: int, samples: Iterable[tuple[int, Iterable[_gf.GFArray]]], budget: int
+    n: int, samples: Iterable[tuple[int, Iterable[_gf.GFArray]]]
 ) -> tuple[int, dict[int, int]]:
     """The degree-set engine: AND the closure masks of the squarefree
     degree-n images in ``samples`` into one mask of possible factor degrees.
 
     The mask is checked after every image and the scan returns once it is
-    {0, n}.  Otherwise it stops after ``budget`` primes with an image, or
-    after 64 * budget primes scanned (a repeated factor makes every image
-    unusable); the cap is applied before a prime's images are generated.
-    Returns the mask and, in scan order, the number of mod-p factors of the
-    first image at each prime that had one."""
+    {0, n}.  Otherwise it stops after _PRIME_BUDGET primes with an image, or
+    after 64 * _PRIME_BUDGET primes scanned; the cap is applied before a
+    prime's images are generated.  Returns the mask and, in scan order, the
+    number of mod-p factors of the first image at each prime that had one."""
     target = 1 | (1 << n)
     mask = (1 << (n + 1)) - 1
     counts: dict[int, int] = {}
-    for p, images in islice(samples, 64 * budget):
+    for p, images in islice(samples, 64 * _PRIME_BUDGET):
         for f in images:
             degs = _ddf_degrees(f, p)
             counts.setdefault(p, len(degs))
             mask &= _closure_mask(degs)
             if mask == target:
                 return mask, counts
-        if len(counts) >= budget:
+        if len(counts) >= _PRIME_BUDGET:
             break
     return mask, counts
+
+
+def _require_squarefree(f: IntPoly) -> None:
+    """The squarefree gate: one squarefree modular image among the first 41
+    primes from _PRIME_FLOOR proves f squarefree; without one, the exact
+    gcd(f, f') decides, and NotSquarefree is raised when it is nonconstant."""
+    first = islice(_reductions(f, prime_range_from(_PRIME_FLOOR)), 41)
+    if not any(images for _, images in first) and not _rational_gcd_is_constant(f, f.derivative()):
+        raise NotSquarefree("polynomial shares a factor with its derivative")
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _scan(f: IntPoly) -> tuple[int, tuple[tuple[int, int], ...]]:
     """``_intersect`` over the reductions of f at the primes from
     _PRIME_FLOOR up: the mask and the (prime, factor count) pairs in scan
-    order.  Negating f changes no mod-p degree, so callers pass f with a
-    positive leading coefficient and share one entry."""
-    mask, counts = _intersect(f.degree, _reductions(f, prime_range_from(_PRIME_FLOOR)), _PRIME_BUDGET)
+    order.  NotSquarefree, from the gate, when f has a repeated factor.
+    Negating f changes no mod-p degree, so callers pass f with a positive
+    leading coefficient and share one entry."""
+    _require_squarefree(f)
+    mask, counts = _intersect(f.degree, _reductions(f, prime_range_from(_PRIME_FLOOR)))
     return mask, tuple(counts.items())
 
 
@@ -210,31 +220,17 @@ def _positive(poly: IntPoly) -> IntPoly:
     return -poly if poly.lead < 0 else poly
 
 
-def degree_set(poly: IntPoly, primes: Sequence[int]) -> frozenset[int]:
-    """Possible rational factor degrees: intersection over usable primes of
-    the subset-sum closures of the mod-p degree multisets.
-
-    Primes with non-squarefree reductions (or dividing the leading
-    coefficient) are skipped; NoUsablePrime if none survive.  The result
-    always contains 0 and deg(poly).
-    """
-    if poly.degree < 1:
-        raise ValueError("degree_set expects a nonconstant polynomial")
-    mask, counts = _intersect(poly.degree, _reductions(poly, primes), len(primes))
-    if not counts:
-        raise NoUsablePrime("no prime gave a squarefree full-degree reduction")
-    return _mask_to_set(mask)
-
-
 def certify_irreducible(poly: IntPoly) -> IrreducibilityOutcome:
     """Degree-set certification over an adaptive ascending prime sequence.
 
     Irreducible when the intersected closure shrinks to {0, deg}; Unknown
-    once the usable-prime budget or the scan cap runs out.  Small squarefree
-    irreducible inputs never stay Unknown: when the degree set cannot
-    separate (composite cyclotomic towers force a proper subset sum at every
-    prime), the verdict is completed by factoring the primitive part
-    outright.  Never falsely Irreducible.
+    once the usable-prime budget or the scan cap runs out, or, with no prime
+    used and every degree possible, when the squarefree gate finds a
+    repeated factor.  Small squarefree irreducible inputs never stay
+    Unknown: when the degree set cannot separate (composite cyclotomic
+    towers force a proper subset sum at every prime), the verdict is
+    completed by factoring the primitive part outright.  Never falsely
+    Irreducible.
     """
     n = poly.degree
     if n < 1:
@@ -242,7 +238,10 @@ def certify_irreducible(poly: IntPoly) -> IrreducibilityOutcome:
     if n == 1:
         return IrreducibilityOutcome("Irreducible", (), frozenset({0, 1}))
     f = _positive(poly)
-    mask, counts = _scan(f)
+    try:
+        mask, counts = _scan(f)
+    except NotSquarefree:
+        mask, counts = (1 << (n + 1)) - 1, ()
     status = "Irreducible" if mask == 1 | (1 << n) else "Unknown"
     # a usable prime shows f squarefree, so factoring cannot raise
     if status == "Unknown" and counts and n <= _FULL_FACTOR_DEGREE:
@@ -329,7 +328,8 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...] | None, tuple[int, .
     primes the result rests on.
 
     The pruning mask and the Hensel prime come from ``_scan(f)``: its counts
-    choose the Hensel prime, so only that prime is factored mod p.  None
+    choose the Hensel prime, so only that prime is factored mod p.
+    NotSquarefree from the squarefree gate, at every degree; None
     (Unresolved) above _DEGREE_CAP; NoUsablePrime when the scan finds no
     squarefree full-degree reduction.
     """
@@ -339,19 +339,13 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...] | None, tuple[int, .
         raise ValueError("factor_over_Q expects a primitive polynomial")
     assert f.lead > 0
     n = f.degree
-
-    # squarefreeness: one squarefree modular image proves it; confirm the
-    # negative exactly before raising
-    first = islice(_reductions(f, prime_range_from(_PRIME_FLOOR)), 41)
-    if not any(images for _, images in first) and not _rational_gcd_is_constant(f, f.derivative()):
-        raise NotSquarefree("polynomial shares a factor with its derivative")
-    if n > _DEGREE_CAP:
-        return None, ()
-
     if n == 1:
         return (f,), ()
+    if n > _DEGREE_CAP:
+        _require_squarefree(f)
+        return None, ()
 
-    # degree-set pruning mask
+    # degree-set pruning mask, behind the squarefree gate
     mask, counts = _scan(f)
     if not counts:
         raise NoUsablePrime("no prime gave a squarefree reduction")
@@ -498,7 +492,7 @@ def _certify_tower(i: int, k: int, peel: bool) -> tuple[bool, tuple[int, ...]]:
                 yield f
 
     primes = (p for p in prime_range_from(_PRIME_FLOOR) if (p - 1) % i == 0)
-    mask, counts = _intersect(deg, ((p, samples(p)) for p in primes), _PRIME_BUDGET)
+    mask, counts = _intersect(deg, ((p, samples(p)) for p in primes))
     return mask == 1 | (1 << deg), tuple(counts)
 
 

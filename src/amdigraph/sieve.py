@@ -33,7 +33,6 @@ __all__ = [
     "CertificateError",
     "LITERATURE",
     "prime_witness",
-    "threshold_covered",
     "build_trace_system",
     "check_infeasible",
     "settled",
@@ -73,11 +72,10 @@ class TraceSystem:
     k: int
     ell_max: int  # largest ell with ell*(d-1) < k+1
     divisors: tuple[int, ...]
-    rows: dict[int, tuple[int, ...]]  # divisor h <= ell_max of k -> S_h(Phi_n) per n
 
     def row(self, ell: int) -> tuple[int, ...]:
-        """S_ell(Phi_n) per n: every n divides k, so S_ell = S_h with h = gcd(ell, k)."""
-        return self.rows[gcd(ell, self.k)]
+        """S_ell(Phi_n) per n, evaluated from the Ramanujan sums."""
+        return tuple(ramanujan_sum(ell, n) for n in self.divisors)
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class CheckedCell:
 @dataclass(frozen=True)
 class Certificate:
     """Self-validating record of one decide() run: the decision alone, since
-    the validator recomputes every trace row it needs from (d, k)."""
+    the validator evaluates every trace row it needs from (d, k)."""
 
     d: int
     k: int
@@ -141,29 +139,13 @@ def prime_witness(d: int, k: int) -> int | None:
     return ell if ell <= k // (d - 1) else None
 
 
-def threshold_covered(d: int, k: int) -> tuple[bool, str | None]:
-    """Odd branch: k odd and k >= 2(d-1); even branch: k even and
-    k >= 2(d-1)^2."""
-    if d < 6:
-        raise ValueError("threshold_covered expects d >= 6")
-    if k % 2 == 1 and k >= 2 * (d - 1):
-        return True, "Odd"
-    if k % 2 == 0 and k >= 2 * (d - 1) ** 2:
-        return True, "Even"
-    return False, None
-
-
 def build_trace_system(d: int, k: int) -> TraceSystem:
     """Constraint rows 0 = d^ell + sum_n a_n S_ell(Phi_n) for every ell with
-    ell*(d-1) < k+1 (strict), n ranging over the divisors of k above 1, kept
-    as one row per gcd class: the divisors h <= ell_max of k."""
+    ell*(d-1) < k+1 (strict), n ranging over the divisors of k above 1; each
+    row is evaluated when it is read."""
     if d < 2 or k < 2:
         raise ValueError("build_trace_system expects d >= 2 and k >= 2")
-    ell_max = k // (d - 1)
-    all_divs = all_divisors(k)
-    divs = tuple(all_divs[1:])
-    rows = {h: tuple(ramanujan_sum(h, n) for n in divs) for h in all_divs if h <= ell_max}
-    return TraceSystem(d, k, ell_max, divs, rows)
+    return TraceSystem(d, k, k // (d - 1), tuple(all_divisors(k)[1:]))
 
 
 def check_infeasible(sys: TraceSystem, ell: int) -> bool:

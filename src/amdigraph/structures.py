@@ -1,28 +1,20 @@
-"""Permutation cycle structures of the repeat map and their spectra.
+"""Permutation cycle structures of the repeat map.
 
-A repeat permutation with m_j cycles of length j determines the spectra of P
-and of J+P exactly, so candidate structures can be enumerated and attacked
-symbolically without ever constructing a digraph.  The self-repeat case pins
-m_1 = k, and 2-criticality (every longer cycle length of the form 2^t * alpha)
-is what the subdigraph machinery needs.
+A repeat permutation with m_j cycles of length j is stored by its cycle
+type, so candidate structures can be enumerated without ever constructing a
+digraph.  The self-repeat case pins m_1 = k, and 2-criticality (every longer
+cycle length of the form 2^t * alpha) is what the subdigraph machinery
+needs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Iterable, Iterator, Mapping
-
-from .algebra import IntPoly, divisors, poly_mul
-from .cyclotomic import cyclotomic
 
 __all__ = [
     "CycleStructure",
-    "m_of",
     "is_two_critical",
     "enumerate_structures",
-    "lcm_closure",
-    "char_poly_P",
-    "char_poly_JP",
 ]
 
 
@@ -53,25 +45,11 @@ class CycleStructure:
     def from_map(cls, N: int, k: int, mapping: Mapping[int, int]) -> "CycleStructure":
         return cls(N, k, tuple(sorted((j, m) for j, m in mapping.items() if m)))
 
-    def m(self, j: int) -> int:
-        """Stored multiplicity m_j (0 when absent)."""
-        for jj, mm in self.entries:
-            if jj == j:
-                return mm
-        return 0
-
     def lengths(self) -> tuple[int, ...]:
         return tuple(j for j, _ in self.entries)
 
     def serialize(self) -> str:
         return " ".join(f"{j}:{m}" for j, m in self.entries)
-
-
-def m_of(s: CycleStructure, i: int) -> int:
-    """m(i): number of cycles whose length is a multiple of i."""
-    if i < 1:
-        raise ValueError("m_of expects i >= 1")
-    return sum(m for j, m in s.entries if j % i == 0)
 
 
 def _normal_alpha(lengths: Iterable[int]) -> int | None:
@@ -100,18 +78,6 @@ def is_two_critical(s: CycleStructure) -> tuple[bool, int | None]:
         if j != alpha:
             return False, None
     return True, alpha
-
-
-def lcm_closure(S1: Iterable[int]) -> frozenset[int]:
-    """Least lcm-closed superset: iterate pairwise lcms to a fixed point."""
-    cur = frozenset(S1)
-    if not cur:
-        raise ValueError("lcm_closure expects a nonempty set")
-    while True:
-        nxt = cur | frozenset(lcm(a, b) for a in cur for b in cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
 
 
 def _spectrum_feasible(available: frozenset[int], d_prime: int) -> bool:
@@ -164,23 +130,3 @@ def enumerate_structures(d_prime: int, k: int) -> list[CycleStructure]:
         out.append(s)
     return out
 
-
-def char_poly_P(s: CycleStructure) -> IntPoly:
-    """Characteristic polynomial of a permutation matrix with this cycle
-    type: prod over stored lengths of (x^j - 1)^{m_j}."""
-    out = IntPoly.one()
-    for j, m in s.entries:
-        out = poly_mul(out, (IntPoly.monomial(j) - IntPoly.one()) ** m)
-    return out
-
-
-def char_poly_JP(s: CycleStructure) -> IntPoly:
-    """Characteristic polynomial of J + P for a permutation P with this cycle
-    type: (x - (N+1)) * (x-1)^(m(1)-1) * prod_i Phi_i^m(i) over i > 1."""
-    out = IntPoly((-(s.N + 1), 1))
-    out = poly_mul(out, (IntPoly.x() - IntPoly.one()) ** (m_of(s, 1) - 1))
-    relevant = sorted({i for j, _ in s.entries for i in divisors(j) if i > 1})
-    for i in relevant:
-        out = poly_mul(out, cyclotomic(i) ** m_of(s, i))
-    assert out.degree == s.N
-    return out

@@ -13,14 +13,13 @@ from amdigraph.algebra import (
     euler_phi,
     factorize,
     is_prime,
-    mobius,
     poly_compose,
     poly_divexact,
     poly_divmod,
     poly_mul,
     prime_range_from,
 )
-from oracles import evaluate, primes_in
+from oracles import evaluate, mobius, primes_in
 
 coeff = st.integers(min_value=-(10**6), max_value=10**6)
 small_poly = st.lists(coeff, min_size=0, max_size=33).map(IntPoly)

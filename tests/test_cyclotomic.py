@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amdigraph.algebra import IntPoly, divisors, euler_phi, mobius, poly_mul
+from amdigraph.algebra import IntPoly, divisors, euler_phi, poly_mul
 from amdigraph.cyclotomic import build_F, chain_poly, cyclotomic, ramanujan_sum
-from oracles import evaluate, primes_in
+from oracles import evaluate, mobius, primes_in
 
 
 def test_first_cyclotomics() -> None:

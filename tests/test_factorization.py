@@ -13,7 +13,6 @@ from amdigraph.factorization import (
     NotSquarefree,
     certify_irreducible,
     conjecture_verdict,
-    degree_set,
     factor_over_Q,
     score_conjecture,
     split_index,
@@ -33,16 +32,9 @@ def _sympy_degrees(poly: IntPoly) -> list[int]:
 
 def test_degree_set_closure_shape() -> None:
     F = build_F(3, 4)  # factors with rational degrees 2 and 6
-    ds = degree_set(F, primes_in(101, 400))
+    ds = certify_irreducible(F).degree_set
     assert 0 in ds and F.degree in ds
     assert {0, 2, 6, 8} <= ds
-
-
-def test_degree_set_shrinks_with_more_primes() -> None:
-    F = build_F(2, 5)
-    few = degree_set(F, primes_in(101, 200))
-    more = degree_set(F, primes_in(101, 600))
-    assert more <= few
 
 
 def _reference_degree_set(poly: IntPoly, primes: list[int]) -> frozenset[int] | None:
@@ -84,12 +76,15 @@ def test_degree_set_matches_every_prime_reference(
     if square:
         poly = poly_mul(poly, poly)
     primes = primes_in(lo, lo + width)
+    # fewer primes than the budget: the engine reads every one of them
+    assert len(primes) < factorization._PRIME_BUDGET
     expected = _reference_degree_set(poly, primes)
+    mask, counts = factorization._intersect(poly.degree, factorization._reductions(poly, primes))
     if expected is None:
-        with pytest.raises(NoUsablePrime):
-            degree_set(poly, primes)
+        assert counts == {}
+        assert mask == (1 << (poly.degree + 1)) - 1
     else:
-        assert degree_set(poly, primes) == expected
+        assert factorization._mask_to_set(mask) == expected
 
 
 def test_certify_irreducible_known_cells() -> None:
@@ -202,6 +197,34 @@ def test_factor_over_Q_rejects_repeated_factors() -> None:
     sq = poly_mul(poly_mul(IntPoly((-1, 1)), IntPoly((-1, 1))), IntPoly((2, 1)))
     with pytest.raises(NotSquarefree):
         factor_over_Q(sq)
+
+
+def test_factor_over_Q_gates_squarefreeness_above_the_degree_cap(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    monkeypatch.setattr(factorization, "_DEGREE_CAP", 2)
+    sq = poly_mul(poly_mul(IntPoly((-1, 1)), IntPoly((-1, 1))), IntPoly((2, 1)))
+    with pytest.raises(NotSquarefree):
+        factor_over_Q(sq)
+    assert factor_over_Q(IntPoly((-1, 0, 0, 1))) is None  # x^3 - 1, squarefree
+
+
+def test_certify_irreducible_stops_at_the_squarefree_gate(monkeypatch: pytest.MonkeyPatch) -> None:
+    # (x - 1)^2 * F_{5,8}: no reduction is squarefree, and the gate's 41
+    # primes end the scan instead of the 64 * 24 of the scan cap
+    x_minus_1 = IntPoly((-1, 1))
+    poly = poly_mul(poly_mul(x_minus_1, x_minus_1), build_F(5, 8))
+    calls = []
+
+    def spy(f, p, _original=_gf.gf_is_squarefree):
+        calls.append(p)
+        return _original(f, p)
+
+    monkeypatch.setattr(_gf, "gf_is_squarefree", spy)
+    out = certify_irreducible(poly)
+    assert (out.status, out.primes_used) == ("Unknown", ())
+    assert out.degree_set == frozenset(range(poly.degree + 1))
+    assert 0 < len(calls) <= 41
 
 
 def test_factor_over_Q_agrees_with_sympy() -> None:

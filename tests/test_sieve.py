@@ -21,14 +21,13 @@ from amdigraph.sieve import (
     check_infeasible,
     decide,
     prime_witness,
-    threshold_covered,
     validate_certificate,
 )
-from oracles import primes_in
+from oracles import primes_in, threshold_covered
 
 
 def _table(sys: sieve.TraceSystem) -> tuple[tuple[int, ...], ...]:
-    # row ell-1 holds S_ell(Phi_n) per n, through the gcd-class lookup
+    # row ell-1 holds S_ell(Phi_n) per n, as the system evaluates it
     return tuple(sys.row(ell) for ell in range(1, sys.ell_max + 1))
 
 
@@ -47,7 +46,7 @@ def test_trace_system_4_9() -> None:
 
 
 def _per_ell_table(k: int, ell_max: int) -> tuple[tuple[int, ...], ...]:
-    # the definition: one row per ell, with no gcd classes shared
+    # the definition: one row per ell, over the divisors of k above 1
     divs = [n for n in divisors(k) if n > 1]
     return tuple(
         tuple(ramanujan_sum(ell, n) for n in divs) for ell in range(1, ell_max + 1)
@@ -279,10 +278,9 @@ def test_validate_certificate_rejects_tampering(monkeypatch: pytest.MonkeyPatch)
         validate_certificate(bad)
 
     # the validator consults the trace rows: unequal rows 1 and w fail it
-    # (a k = 22 system puts ell = 2 in its own gcd class, with another row)
-    rows = build_trace_system(6, 11)
-    uneven = replace(rows, k=22, rows={**rows.rows, 2: (0,)})
-    assert uneven.row(1) != uneven.row(2)
+    # (over the divisor n = 2, row 1 is mu(2) = -1 and row 2 is 1)
+    uneven = replace(build_trace_system(6, 11), divisors=(2,))
+    assert (uneven.row(1), uneven.row(2)) == ((-1,), (1,))
     monkeypatch.setattr(sieve, "build_trace_system", lambda d, k: uneven)
     with pytest.raises(CertificateError, match="not infeasible"):
         validate_certificate(witness_cert)
@@ -387,13 +385,34 @@ def test_prime_witness_is_the_least_coprime_prime() -> None:
             assert prime_witness(d, k) == old, (d, k)
 
 
-def test_validate_certificate_at_huge_k_keeps_one_row_per_gcd_class() -> None:
-    # 10^12 + 1 = 73 * 137 * 99990001: eight divisors, seven of them <= ell_max
+def test_validate_certificate_at_huge_k_evaluates_rows_1_and_w_only(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # 10^12 + 1 = 73 * 137 * 99990001: seven divisors above 1, so rows 1 and
+    # w take 2 * 7 Ramanujan sums, whatever ell_max is
     k = 10**12 + 1
     cert = decide(6, k)
     assert (cert.method, cert.witness) == ("PrimeWitness", 2)
+    calls = []
+
+    def counted(ell: int, n: int) -> int:
+        calls.append((ell, n))
+        return ramanujan_sum(ell, n)
+
+    monkeypatch.setattr(sieve, "ramanujan_sum", counted)
     assert validate_certificate(cert)
+    assert len(calls) == 14
     sys = build_trace_system(6, k)
     assert sys.ell_max == k // 5
-    assert len(sys.rows) == 7
+    assert len(sys.divisors) == 7
     assert check_infeasible(sys, 2)
+
+
+def test_witness_check_fails_when_ramanujan_sums_are_wrong(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # right at ell = 1 and 0 above: row w no longer equals row 1, so the
+    # witness check itself, not only the field comparison, can fail
+    monkeypatch.setattr(sieve, "ramanujan_sum", lambda ell, n: ramanujan_sum(ell, n) if ell == 1 else 0)
+    with pytest.raises(CertificateError, match="not infeasible"):
+        validate_certificate(decide(6, 11))
