@@ -27,17 +27,16 @@ from .digraphs import (
     verify_moore,
 )
 from .factorization import conjecture_verdict
-from .sieve import Certificate, CheckedCell, decide, validate_certificate
+from .sieve import MAX_D, Certificate, CheckedCell, decide, validate_certificate
 
 __all__ = ["main", "serialize_certificate", "parse_certificate"]
 
 SCHEMA_VERSION = 2
 
-_MAX_D = 12
 _MAX_K = 300
 _MAX_I = 30
 # inclusive (lowest, highest) value of d, i and k on the command line
-_BOUNDS = {"d": (2, _MAX_D), "i": (3, _MAX_I), "k": (2, _MAX_K)}
+_BOUNDS = {"d": (2, MAX_D), "i": (3, _MAX_I), "k": (2, _MAX_K)}
 
 
 class _UsageError(Exception):
@@ -348,7 +347,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("decide", help="decide one (d,k) cell, emit a certificate")
-    p.add_argument("d", type=int, help=f"degree (2..{_MAX_D})")
+    p.add_argument("d", type=int, help=f"degree (2..{MAX_D})")
     p.add_argument("k", type=int, help=f"diameter (2..{_MAX_K})")
     p.add_argument("--out", default=None)
     p.add_argument("--deterministic", action="store_true")
@@ -363,7 +362,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_conjecture)
 
     p = sub.add_parser("sweep", help="decide a (d,k) rectangle, emit CSV")
-    p.add_argument("--d", required=True, help=f"d range LO..HI (2..{_MAX_D})")
+    p.add_argument("--d", required=True, help=f"d range LO..HI (2..{MAX_D})")
     p.add_argument("--k", required=True, help=f"k range LO..HI (2..{_MAX_K})")
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=1)
@@ -378,7 +377,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="generate and verify digraph instances")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
     pg = osub.add_parser("gen", help="write a generated (d,2) instance")
-    pg.add_argument("--d", type=int, required=True, help=f"2..{_MAX_D}")
+    pg.add_argument("--d", type=int, required=True, help=f"2..{MAX_D}")
     pg.add_argument("--out", default=None)
     pc = osub.add_parser("check", help="verify a digraph file")
     pc.add_argument("file")

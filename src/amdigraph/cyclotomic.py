@@ -7,40 +7,24 @@ unity (Ramanujan sums, by Hoelder's closed form) that feed the trace system.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .algebra import IntPoly, divisors, euler_phi, factorize, poly_compose, poly_divexact
 
 
-class CyclotomicCache:
-    """Write-once cache of cyclotomic polynomials Phi_i.
+@lru_cache(maxsize=None)
+def cyclotomic(i: int) -> IntPoly:
+    """The i-th cyclotomic polynomial: monic, integer, degree phi(i).
 
     Phi_i is computed as (x^i - 1) / prod_{d | i, d < i} Phi_d by exact
-    integer division.
-    """
-
-    def __init__(self):
-        self._table: dict[int, IntPoly] = {1: IntPoly((-1, 1))}
-
-    def get(self, i: int) -> IntPoly:
-        if i < 1:
-            raise ValueError("cyclotomic index must be >= 1")
-        hit = self._table.get(i)
-        if hit is not None:
-            return hit
-        num = IntPoly.monomial(i) - IntPoly.one()
-        den = IntPoly.one()
-        for d in divisors(i):
-            if d < i:
-                den = den * self.get(d)
-        phi = self._table[i] = poly_divexact(num, den)
-        return phi
-
-
-_CACHE = CyclotomicCache()
-
-
-def cyclotomic(i: int) -> IntPoly:
-    """The i-th cyclotomic polynomial: monic, integer, degree phi(i)."""
-    return _CACHE.get(i)
+    integer division, and cached."""
+    if i < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    den = IntPoly.one()
+    for d in divisors(i):
+        if d < i:
+            den = den * cyclotomic(d)
+    return poly_divexact(IntPoly.monomial(i) - IntPoly.one(), den)
 
 
 def chain_poly(k: int) -> IntPoly:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator
 
@@ -195,24 +195,35 @@ def _intersect(
     return mask, counts
 
 
-def _require_squarefree(f: IntPoly) -> None:
-    """The squarefree gate: one squarefree modular image among the first 41
-    primes from _PRIME_FLOOR proves f squarefree; without one, the exact
-    gcd(f, f') decides, and NotSquarefree is raised when it is nonconstant."""
-    first = islice(_reductions(f, prime_range_from(_PRIME_FLOOR)), 41)
-    if not any(images for _, images in first) and not _rational_gcd_is_constant(f, f.derivative()):
+def _require_squarefree(
+    f: IntPoly, reductions: Iterator[tuple[int, list[_gf.GFArray]]]
+) -> list[tuple[int, list[_gf.GFArray]]]:
+    """The squarefree gate over ``reductions``, the stream ``_reductions``
+    yields for f: one squarefree modular image among its first 41 primes
+    proves f squarefree; without one, the exact gcd(f, f') decides, and
+    NotSquarefree is raised when it is nonconstant.  Returns the pairs it
+    read, which end at the first usable prime."""
+    read = []
+    for p, images in islice(reductions, 41):
+        read.append((p, images))
+        if images:
+            return read
+    if not _rational_gcd_is_constant(f, f.derivative()):
         raise NotSquarefree("polynomial shares a factor with its derivative")
+    return read
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _scan(f: IntPoly) -> tuple[int, tuple[tuple[int, int], ...]]:
     """``_intersect`` over the reductions of f at the primes from
     _PRIME_FLOOR up: the mask and the (prime, factor count) pairs in scan
-    order.  NotSquarefree, from the gate, when f has a repeated factor.
+    order.  NotSquarefree, from the gate, when f has a repeated factor; the
+    scan goes on from the pairs the gate read, so no prime is reduced twice.
     Negating f changes no mod-p degree, so callers pass f with a positive
     leading coefficient and share one entry."""
-    _require_squarefree(f)
-    mask, counts = _intersect(f.degree, _reductions(f, prime_range_from(_PRIME_FLOOR)))
+    reductions = _reductions(f, prime_range_from(_PRIME_FLOOR))
+    read = _require_squarefree(f, reductions)
+    mask, counts = _intersect(f.degree, chain(read, reductions))
     return mask, tuple(counts.items())
 
 
@@ -342,7 +353,7 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...] | None, tuple[int, .
     if n == 1:
         return (f,), ()
     if n > _DEGREE_CAP:
-        _require_squarefree(f)
+        _require_squarefree(f, _reductions(f, prime_range_from(_PRIME_FLOOR)))
         return None, ()
 
     # degree-set pruning mask, behind the squarefree gate
@@ -354,11 +365,9 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...] | None, tuple[int, .
         return (f,), primes_used
 
     # Hensel prime: the first with the fewest mod-p factors among the first
-    # five usable primes
+    # five usable primes; at least two, as one factor ends the scan at {0, n}
     hensel_p = min(counts[:5], key=lambda pc: pc[1])[0]
     mod_facs = _gf.gf_factor(_gf.gf_from_coeffs(f.coeffs, hensel_p), hensel_p)
-    if len(mod_facs) == 1:
-        return (f,), primes_used
 
     # lift modulus: beyond twice the factor-coefficient bound (Mignotte)
     lc = f.lead
@@ -387,8 +396,6 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...] | None, tuple[int, .
                 continue
             cand = _prod(lifted[j] for j in combo)
             cand = _pcenter(cand.scale(f_cur.lead), modulus).primitive_part()
-            if cand.degree != d:
-                continue
             try:
                 q, r = poly_divmod(f_cur, cand)
             except NotDivisible:

@@ -20,18 +20,14 @@ from math import gcd
 
 from .algebra import divisors as all_divisors
 from .cyclotomic import ramanujan_sum
-from .factorization import (
-    CONJECTURE_READINGS,
-    ConjectureVerdict,
-    conjecture_verdict,
-    score_conjecture,
-)
+from .factorization import ConjectureVerdict, conjecture_verdict
 
 __all__ = [
     "Certificate",
     "CheckedCell",
     "CertificateError",
     "LITERATURE",
+    "MAX_D",
     "prime_witness",
     "build_trace_system",
     "check_infeasible",
@@ -62,6 +58,11 @@ LITERATURE: dict[str, tuple[str, ...]] = {
         "structure would not exist",
     ),
 }
+
+# The cap on d of the CLI, and of the validator for a cell no settled rule
+# covers: conjecture elimination factors F_{i,k} for every i < d.  Up to it,
+# every such cell has k <= 60, so deciding it again stays cheap.
+MAX_D = 12
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,6 @@ class CheckedCell:
             observed_degrees=v.observed.factor_degrees,
             primes_used=v.observed.primes_used,
         )
-
-    @property
-    def match(self) -> str:
-        """Re-derive the conjecture match from the stored degrees alone."""
-        return score_conjecture(
-            self.predicted_reducible_a, self.predicted_reducible_b, self.observed_degrees
-        )[1]
 
 
 @dataclass(frozen=True)
@@ -200,50 +194,31 @@ def decide(d: int, k: int) -> Certificate:
 
 
 def validate_certificate(cert: Certificate) -> bool:
-    """Re-check a certificate from first principles; raises CertificateError
-    with the failing condition, returns True when everything re-verifies.
+    """Re-check a certificate by deciding its cell again; raises
+    CertificateError with the failing condition, returns True when
+    everything re-verifies.
 
-    A settled cell is decided again and must match field by field; a prime
-    witness is then checked on the trace system rebuilt from (d, k)."""
+    Every field must equal the one decide() computes for (d, k), so the
+    rules, the conjecture verdicts and their primes exist once; a prime
+    witness is then checked on the trace system rebuilt from (d, k).  A cell
+    no settled rule covers is decided again only up to d = MAX_D."""
 
     def need(cond: bool, what: str):
         if not cond:
             raise CertificateError(f"({cert.d},{cert.k}) {cert.method}: {what}")
 
     need(cert.d >= 2 and cert.k >= 2, "outside d >= 2, k >= 2")
-    expected = settled(cert.d, cert.k)
-    if expected is not None:
-        for f in fields(Certificate):
-            need(
-                getattr(cert, f.name) == getattr(expected, f.name),
-                f"{f.name} differs from the decided certificate",
-            )
-        if cert.method == "PrimeWitness":
-            sys = build_trace_system(cert.d, cert.k)
-            need(check_infeasible(sys, cert.witness), "trace system not infeasible")
-        return True
-    need(cert.method == "ConjectureElimination", "no settled rule applies to this cell")
-    need(cert.witness is None, "witness on a conjecture cell")
-    for cell in cert.checked_i:
+    need(
+        cert.d <= MAX_D or settled(cert.d, cert.k) is not None,
+        f"no settled rule covers this cell and d is above {MAX_D}",
+    )
+    expected = decide(cert.d, cert.k)
+    for f in fields(Certificate):
         need(
-            cell.predicted_reducible_a == CONJECTURE_READINGS["A"](cell.i, cert.k)
-            and cell.predicted_reducible_b == CONJECTURE_READINGS["B"](cell.i, cert.k),
-            f"stored prediction wrong at i={cell.i}",
+            getattr(cert, f.name) == getattr(expected, f.name),
+            f"{f.name} differs from the decided certificate",
         )
-    if cert.verdict == "NotExistSelfRepeat":
-        need(
-            tuple(c.i for c in cert.checked_i) == tuple(range(3, cert.d)),
-            "checked_i does not cover 3..d-1",
-        )
-        need(
-            all(c.match == "Consistent" for c in cert.checked_i),
-            "inconsistent cell inside elimination certificate",
-        )
-        need(
-            cert.assumptions == LITERATURE["conjecture"],
-            "assumptions are not the conjecture implication",
-        )
-    else:
-        need(cert.verdict == "Unknown", "verdict mismatch")
-        need(cert.assumptions == (), "assumptions on an Unknown certificate")
+    if cert.method == "PrimeWitness":
+        sys = build_trace_system(cert.d, cert.k)
+        need(check_infeasible(sys, cert.witness), "trace system not infeasible")
     return True

@@ -1,9 +1,10 @@
 """Reference helpers the tests check the package against."""
 from __future__ import annotations
 
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt
 
-from amdigraph.algebra import IntPoly, factorize
+from amdigraph.algebra import IntPoly, divisors, factorize
 
 
 def evaluate(poly: IntPoly, x: int) -> int:
@@ -37,6 +38,13 @@ def mobius(n: int) -> int:
     if any(e > 1 for e in f.values()):
         return 0
     return -1 if len(f) % 2 else 1
+
+
+@lru_cache(maxsize=None)  # the trace-table tests read each entry for many k
+def ramanujan_divisor_sum(ell: int, n: int) -> int:
+    """The Ramanujan sum c_n(ell) by its divisor sum:
+    sum over j | gcd(n, ell) of mobius(n/j) * j."""
+    return sum(mobius(n // j) * j for j in divisors(gcd(n, ell)))
 
 
 def threshold_covered(d: int, k: int) -> tuple[bool, str | None]:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amdigraph.cli as cli
+import amdigraph.sieve as sieve
 from amdigraph.cli import main, parse_certificate, serialize_certificate
 from amdigraph.digraphs import Digraph, gen_line_digraph_complete
 from amdigraph.sieve import Certificate, decide
@@ -86,7 +87,9 @@ def test_decide_unknown_exits_two(
 ) -> None:
     fabricated = replace(decide(4, 6), verdict="Unknown", assumptions=())
 
+    # the validator decides the cell again, so it must see the same decision
     monkeypatch.setattr(cli, "decide", lambda d, k: fabricated)
+    monkeypatch.setattr(sieve, "decide", lambda d, k: fabricated)
     assert main(["decide", "4", "6"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "Unknown"

@@ -513,6 +513,24 @@ def test_factor_over_Q_after_certify_irreducible_reuses_the_analysis(
     assert calls == {"gf_distinct_degree_list": 0, "gf_factor": 0}
 
 
+@pytest.mark.parametrize("i, k, tests", [(5, 8, 24), (7, 6, 2)])
+def test_scan_tests_each_prime_for_squarefreeness_once(
+    i: int, k: int, tests: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # the gate's first usable prime feeds the degree-set scan as it is,
+    # instead of being reduced and tested again; every tested prime is used
+    _clear_caches()
+    tested = []
+
+    def spy(f, p, _original=_gf.gf_is_squarefree):
+        tested.append(p)
+        return _original(f, p)
+
+    monkeypatch.setattr(_gf, "gf_is_squarefree", spy)
+    assert factorization._factor_over_Q(build_F(i, k))[1] == tuple(tested)
+    assert len(tested) == tests
+
+
 def test_certify_irreducible_of_negation_shares_the_entry(monkeypatch: pytest.MonkeyPatch) -> None:
     F = build_F(5, 8)
     out = certify_irreducible(F)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from amdigraph.algebra import divisors, is_prime
 from amdigraph.cyclotomic import ramanujan_sum
 from amdigraph import sieve
-from amdigraph.factorization import conjecture_verdict
 from amdigraph.sieve import (
     LITERATURE,
     Certificate,
@@ -23,7 +22,7 @@ from amdigraph.sieve import (
     prime_witness,
     validate_certificate,
 )
-from oracles import primes_in, threshold_covered
+from oracles import primes_in, ramanujan_divisor_sum, threshold_covered
 
 
 def _table(sys: sieve.TraceSystem) -> tuple[tuple[int, ...], ...]:
@@ -46,10 +45,11 @@ def test_trace_system_4_9() -> None:
 
 
 def _per_ell_table(k: int, ell_max: int) -> tuple[tuple[int, ...], ...]:
-    # the definition: one row per ell, over the divisors of k above 1
+    # the definition: one row per ell, over the divisors of k above 1, each
+    # entry by the divisor sum rather than the closed form the system uses
     divs = [n for n in divisors(k) if n > 1]
     return tuple(
-        tuple(ramanujan_sum(ell, n) for n in divs) for ell in range(1, ell_max + 1)
+        tuple(ramanujan_divisor_sum(ell, n) for n in divs) for ell in range(1, ell_max + 1)
     )
 
 
@@ -187,36 +187,6 @@ def test_decide_rejects_bad_domain() -> None:
         decide(4, 1)
 
 
-def test_checked_cell_match_recomputation() -> None:
-    c = CheckedCell(
-        i=3, predicted_reducible_a=True, predicted_reducible_b=True,
-        observed_degrees=(2, 6), primes_used=(101,),
-    )
-    assert c.match == "Consistent"
-    one_factor = replace(c, observed_degrees=(8,))
-    assert one_factor.match == "Inconsistent"
-    unresolved = replace(c, observed_degrees=())
-    assert unresolved.match == "Unresolved"
-    three = replace(c, observed_degrees=(2, 2, 4))
-    assert three.match == "Inconsistent"
-
-
-@pytest.mark.parametrize(
-    "i, k",
-    [
-        (3, 60),  # irreducible by tower sampling
-        (5, 18),  # reducible by the peeled tower
-        (5, 8),  # reducible by full factorization
-        (5, 6),  # irreducible by full factorization
-        (6, 13),  # reducible, only reading B fits
-        (5, 9),  # irreducible, only reading B fits
-    ],
-)
-def test_checked_cell_match_equals_verdict_match(i: int, k: int) -> None:
-    v = conjecture_verdict(i, k)
-    assert CheckedCell.from_verdict(v).match == v.match
-
-
 def test_validate_certificate_accepts_decided_cells() -> None:
     for d, k in ((7, 2), (9, 3), (2, 9), (3, 9), (6, 11), (12, 200), (4, 6), (6, 5)):
         assert validate_certificate(decide(d, k))
@@ -251,18 +221,18 @@ def test_validate_certificate_rejects_tampering(monkeypatch: pytest.MonkeyPatch)
         validate_certificate(bad)
 
     bad = replace(elim_cert, assumptions=("someone00: unrelated claim",))
-    with pytest.raises(CertificateError, match="conjecture implication"):
+    with pytest.raises(CertificateError, match="assumptions differs from the decided certificate"):
         validate_certificate(bad)
 
     bad = replace(elim_cert, checked_i=())
-    with pytest.raises(CertificateError, match="cover"):
+    with pytest.raises(CertificateError, match="checked_i differs from the decided certificate"):
         validate_certificate(bad)
 
     wrong_pred = replace(
         elim_cert,
         checked_i=(replace(elim_cert.checked_i[0], predicted_reducible_a=True),),
     )
-    with pytest.raises(CertificateError, match="stored prediction"):
+    with pytest.raises(CertificateError, match="checked_i differs from the decided certificate"):
         validate_certificate(wrong_pred)
 
     bad = replace(witness_cert, verdict="Impossible")
@@ -274,7 +244,7 @@ def test_validate_certificate_rejects_tampering(monkeypatch: pytest.MonkeyPatch)
         validate_certificate(bad)
 
     bad = replace(elim_cert, assumptions=("cggmm14 but no separator",))
-    with pytest.raises(CertificateError, match="conjecture implication"):
+    with pytest.raises(CertificateError, match="assumptions differs from the decided certificate"):
         validate_certificate(bad)
 
     # the validator consults the trace rows: unequal rows 1 and w fail it
@@ -305,9 +275,12 @@ def test_validate_certificate_threshold_branch() -> None:
 
 
 def test_validate_certificate_unknown_requires_no_coverage() -> None:
+    # decide settles (4,6) by conjecture elimination, so an Unknown label on
+    # it is not the decided certificate
     elim = decide(4, 6)
     unknown = replace(elim, verdict="Unknown", assumptions=())
-    assert validate_certificate(unknown)
+    with pytest.raises(CertificateError, match="verdict differs"):
+        validate_certificate(unknown)
 
 
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=2, max_value=120))
@@ -343,18 +316,34 @@ def _one_field_changes(cert: Certificate) -> list[Certificate]:
     )
 
 
+def _one_checked_cell_changes(cert: Certificate) -> list[Certificate]:
+    # the stored observation of the first checked cell: its degrees and primes
+    cell = cert.checked_i[0]
+    n = sum(cell.observed_degrees)
+    forged = [
+        replace(cell, observed_degrees=(1, n - 1) if len(cell.observed_degrees) == 1 else (n,)),
+        replace(cell, primes_used=(2,)),
+        replace(cell, primes_used=cell.primes_used[:-1]),
+    ]
+    return [replace(cert, checked_i=(c, *cert.checked_i[1:])) for c in forged]
+
+
 def test_validate_certificate_rejects_every_one_field_change_of_a_settled_cell() -> None:
-    settled_cells = 0
+    settled_cells = conjecture_cells = 0
     for d in range(2, 13):
         for k in range(2, 41):
             cert = decide(d, k)
+            changes = _one_field_changes(cert)
             if cert.method == "ConjectureElimination":
-                continue
-            settled_cells += 1
-            for bad in _one_field_changes(cert):
+                conjecture_cells += 1
+                changes += _one_checked_cell_changes(cert)
+            else:
+                settled_cells += 1
+            for bad in changes:
                 with pytest.raises(CertificateError, match="differs from the decided"):
                     validate_certificate(bad)
     assert settled_cells == 295
+    assert conjecture_cells == 134
 
 
 def test_validate_certificate_pins_the_verdict_and_the_citations() -> None:
@@ -367,12 +356,48 @@ def test_validate_certificate_pins_the_verdict_and_the_citations() -> None:
 
 def test_validate_certificate_conjecture_cell_fields() -> None:
     elim = decide(4, 6)
-    with pytest.raises(CertificateError, match="witness on a conjecture cell"):
+    with pytest.raises(CertificateError, match="witness differs from the decided certificate"):
         validate_certificate(replace(elim, witness=2))
-    with pytest.raises(CertificateError, match="assumptions on an Unknown"):
+    with pytest.raises(CertificateError, match="verdict differs from the decided certificate"):
         validate_certificate(replace(elim, verdict="Unknown"))
-    with pytest.raises(CertificateError, match="no settled rule"):
+    with pytest.raises(CertificateError, match="method differs from the decided certificate"):
         validate_certificate(replace(elim, method="PrimeWitness", witness=2))
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        {"observed_degrees": (1, 9)},  # F_{3,5} is irreducible of degree 10
+        {"primes_used": (2,)},
+    ],
+    ids=["degrees", "primes"],
+)
+def test_validate_certificate_rejects_forged_observations(forge: dict) -> None:
+    # the checked cells are decided again, not trusted: a forged F_{3,5}
+    # observation in decide(6, 5) fails, whatever its scoring would say
+    cert = decide(6, 5)
+    assert cert.checked_i[0].i == 3
+    assert cert.checked_i[0].observed_degrees == (10,)
+    forged = replace(cert, checked_i=(replace(cert.checked_i[0], **forge), *cert.checked_i[1:]))
+    with pytest.raises(CertificateError, match="checked_i differs"):
+        validate_certificate(forged)
+
+
+def test_validate_certificate_refuses_an_unsettled_cell_above_the_cap(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # no rule settles (10^7, 5) and d is above 12: rejected before any
+    # factoring, in time and memory independent of d
+    def refuse(i: int, k: int):
+        raise AssertionError("the validator started factoring")
+
+    monkeypatch.setattr(sieve, "conjecture_verdict", refuse)
+    forged = Certificate(
+        d=10**7, k=5, verdict="NotExistSelfRepeat", method="ConjectureElimination",
+        witness=None, checked_i=(), assumptions=LITERATURE["conjecture"],
+    )
+    with pytest.raises(CertificateError, match="d is above 12"):
+        validate_certificate(forged)
 
 
 def test_prime_witness_is_the_least_coprime_prime() -> None:
