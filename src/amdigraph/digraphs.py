@@ -15,7 +15,10 @@ trace correspondence.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 
 import numpy as np
 
@@ -144,37 +147,42 @@ class MooreCheck:
     orders: tuple[int, ...]  # ord_r(v) per vertex
     self_repeats: tuple[int, ...]
 
+    @cached_property
+    def cycles(self) -> list[tuple[int, ...]]:
+        """The cycles of r, decomposed once per check."""
+        return _cycles(self.P)
+
+    @property
+    def period(self) -> int:
+        """Order of r: the least m >= 1 with r^m the identity."""
+        return lcm(*(len(c) for c in self.cycles))
+
     def r_power(self, j: int) -> tuple[int, ...]:
-        perm = list(range(len(self.P)))
-        for _ in range(j % _perm_order(self.P)):
-            perm = [self.P[v] for v in perm]
-        return tuple(perm)
+        image = {v: c[(i + j) % len(c)] for c in self.cycles for i, v in enumerate(c)}
+        return tuple(image[v] for v in range(len(self.P)))
 
     def cycle_structure(self) -> CycleStructure:
-        counts: dict[int, int] = {}
-        for length in _cycle_lengths(self.P):
-            counts[length] = counts.get(length, 0) + 1
+        counts = Counter(len(c) for c in self.cycles)
         return CycleStructure.from_map(len(self.P), self.k, counts)
 
 
-def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
+def _cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cycles of a permutation, each listed v, perm[v], perm[perm[v]], ...
+    from its least vertex; ValueError when perm maps two vertices to one."""
     seen = [False] * len(perm)
-    lengths = []
+    cycles = []
     for v in range(len(perm)):
-        if not seen[v]:
-            length, w = 0, v
-            while not seen[w]:
-                seen[w] = True
-                w = perm[w]
-                length += 1
-            lengths.append(length)
-    return lengths
-
-
-def _perm_order(perm: tuple[int, ...]) -> int:
-    from math import lcm
-
-    return lcm(*_cycle_lengths(perm))
+        if seen[v]:
+            continue
+        cycle, w = [], v
+        while not seen[w]:
+            seen[w] = True
+            cycle.append(w)
+            w = perm[w]
+        if w != v:
+            raise ValueError(f"not a permutation: {w} has two preimages")
+        cycles.append(tuple(cycle))
+    return cycles
 
 
 def verify_moore(g: Digraph, d: int, k: int) -> MooreCheck:
@@ -186,15 +194,12 @@ def verify_moore(g: Digraph, d: int, k: int) -> MooreCheck:
     """
     if d < 2 or k < 2:
         raise ValueError("verify_moore expects d >= 2 and k >= 2")
-    indeg = [0] * g.n
     for v, nbrs in enumerate(g.out):
         if len(nbrs) != d:
             raise NotDiregular(f"vertex {v}: out-degree {len(nbrs)} != {d}")
-        for w in nbrs:
-            indeg[w] += 1
-    bad = next((v for v in range(g.n) if indeg[v] != d), None)
-    if bad is not None:
-        raise NotDiregular(f"vertex {bad}: in-degree {indeg[bad]} != {d}")
+    for v, ins in enumerate(g.in_lists()):
+        if len(ins) != d:
+            raise NotDiregular(f"vertex {v}: in-degree {len(ins)} != {d}")
     # d + d^2 + ... + d^k, cut short once past n: k comes from the file header
     order = 0
     for t in range(1, k + 1):
@@ -219,26 +224,21 @@ def verify_moore(g: Digraph, d: int, k: int) -> MooreCheck:
     if (R.sum(axis=1) != 1).any() or (R.sum(axis=0) != 1).any():
         raise NotAlmostMoore("residual is not a permutation matrix")
     P = tuple(int(np.argmax(R[v])) for v in range(g.n))
+    cycles = _cycles(P)
 
     arcs = {(v, w) for v, nbrs in enumerate(g.out) for w in nbrs}
     for v, w in arcs:
         if (P[v], P[w]) not in arcs:
             raise StructuralViolation(f"r is not an automorphism at arc ({v},{w})")
-    fixed = tuple(v for v in range(g.n) if P[v] == v)
+    fixed = tuple(c[0] for c in cycles if len(c) == 1)
     for ell, tr in enumerate(traces[:-1], start=1):
         if tr != 0:
             raise StructuralViolation(f"Tr(A^{ell}) = {tr} != 0")
     if traces[-1] != len(fixed):
         raise StructuralViolation(f"Tr(A^{k}) = {traces[-1]} != {len(fixed)}")
 
-    orders = [0] * g.n
-    for v in range(g.n):
-        length, w = 1, P[v]
-        while w != v:
-            w = P[w]
-            length += 1
-        orders[v] = length
-    return MooreCheck(d, k, P, tuple(orders), fixed)
+    orders = {v: len(c) for c in cycles for v in c}
+    return MooreCheck(d, k, P, tuple(orders[v] for v in range(g.n)), fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +380,15 @@ def check_subdigraph_theorem(
     elif cycle_case:
         if len(h.vertices) != check.k:
             failures.append("self_repeat_cycle_order")
-        if _cycle_lengths(tuple(nbrs[0] for nbrs in sub.out)) != [check.k]:
+        try:
+            shape = [len(c) for c in _cycles(tuple(nbrs[0] for nbrs in sub.out))]
+        except ValueError:
+            shape = None
+        if shape != [check.k]:
             failures.append("self_repeat_cycle_shape")
     else:
         degs = {len(nbrs) for nbrs in sub.out}
-        indeg = [0] * sub.n
-        for nbrs in sub.out:
-            for w in nbrs:
-                indeg[w] += 1
-        if len(degs) != 1 or set(indeg) != degs:
+        if len(degs) != 1 or {len(ins) for ins in sub.in_lists()} != degs:
             failures.append("diregular")
         else:
             d_prime = degs.pop()
@@ -526,9 +526,8 @@ def profile_in_neighborhood(
 def check_fixed_walks(g: Digraph, check: MooreCheck) -> bool:
     """For every automorphism phi = r^m and every pair of distinct phi-fixed
     vertices u, v: each walk of length <= k from u to v is fixed by phi^2."""
-    order = _perm_order(check.P)
     walk_table = [_walks_from(g, u, check.k) for u in range(g.n)]
-    for m in range(1, order + 1):
+    for m in range(1, check.period + 1):
         phi = check.r_power(m)
         phi2 = tuple(phi[phi[v]] for v in range(g.n))
         fixed = [v for v in range(g.n) if phi[v] == v]
@@ -596,7 +595,7 @@ def run_battery(g: Digraph, d: int, k: int) -> list[tuple[str, bool, str]]:
         except StructuralViolation as exc:
             rows.append((name, False, str(exc)))
 
-    attempt("fixed_walks_square", lambda: "" if check_fixed_walks(g, check) else "")
+    attempt("fixed_walks_square", lambda: check_fixed_walks(g, check))
 
     seen_vertex_sets = set()
     for alpha in range(2, g.n + 1):
@@ -626,7 +625,7 @@ def run_battery(g: Digraph, d: int, k: int) -> list[tuple[str, bool, str]]:
 
     def rsets() -> str:
         total = 0
-        for ell in range(1, min(4, _WALK_CAP) + 1):
+        for ell in range(1, 4 + 1):
             for jj in range(1, g.n + 1):
                 total += r_set_size(g, check, ell, jj)
         return f"sum over ell<=4, j<=n: {total}"

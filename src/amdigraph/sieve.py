@@ -144,9 +144,11 @@ def build_trace_system(d: int, k: int) -> TraceSystem:
 
 def check_infeasible(sys: TraceSystem, ell: int) -> bool:
     """The mu-collapse at ell (1 < ell <= ell_max): rows 1 and ell agree, so
-    subtracting them forces d^ell = d, which fails.  A prime ell coprime to k
-    always collapses, as S_ell(Phi_n) = mu(n) = S_1(Phi_n) for every n | k."""
-    return sys.row(1) == sys.row(ell) and sys.d**ell != sys.d
+    subtracting them forces d^ell = d, false for d >= 2 and ell > 1.  A prime
+    ell coprime to k always collapses, as S_ell(Phi_n) = mu(n) = S_1(Phi_n)
+    for every n | k.  False for any ell outside that range: the system has no
+    row ell."""
+    return 1 < ell <= sys.ell_max and sys.row(1) == sys.row(ell)
 
 
 def settled(d: int, k: int) -> Certificate | None:

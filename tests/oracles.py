@@ -3,8 +3,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import Iterator
 
 from amdigraph.algebra import IntPoly, divisors, factorize
+from amdigraph.structures import CycleStructure
 
 
 def evaluate(poly: IntPoly, x: int) -> int:
@@ -57,3 +59,45 @@ def threshold_covered(d: int, k: int) -> tuple[bool, str | None]:
     if k % 2 == 0 and k >= 2 * (d - 1) ** 2:
         return True, "Even"
     return False, None
+
+
+def is_two_critical(s: CycleStructure) -> tuple[bool, int | None]:
+    """True iff one alpha > 1 has every stored length j > 1 of the form
+    2^t * alpha; returns (flag, alpha) with alpha the least length above 1."""
+    longer = [j for j, _ in s.entries if j > 1]
+    if not longer:
+        return False, None
+    alpha = longer[0]
+    for j in longer:
+        while j % 2 == 0 and j > alpha:
+            j //= 2
+        if j != alpha:
+            return False, None
+    return True, alpha
+
+
+def _vectors(indices: list[int], total: int) -> Iterator[dict[int, int]]:
+    # all m-vectors over the given lengths with sum j*m_j = total, lexicographic
+    if not indices:
+        if total == 0:
+            yield {}
+        return
+    j, rest = indices[0], indices[1:]
+    for m in range(total // j + 1):
+        for tail in _vectors(rest, total - j * m):
+            out = {j: m} if m else {}
+            out.update(tail)
+            yield out
+
+
+def structures_by_filter(d_prime: int, k: int) -> list[CycleStructure]:
+    """Every cycle type with m_1 = k on the lengths 2..d'-1, kept when it is
+    2-critical with alpha | d'-1; the reference for enumerate_structures."""
+    N = sum(d_prime**t for t in range(1, k + 1))
+    out = []
+    for vec in _vectors(list(range(2, d_prime)), N - k):
+        s = CycleStructure.from_map(N, k, {1: k, **vec})
+        ok, alpha = is_two_critical(s)
+        if ok and (d_prime - 1) % alpha == 0:
+            out.append(s)
+    return out

@@ -29,8 +29,8 @@ from amdigraph.sieve import (
     prime_witness,
     validate_certificate,
 )
-from amdigraph.structures import CycleStructure, enumerate_structures, is_two_critical
-from oracles import mobius, threshold_covered
+from amdigraph.structures import CycleStructure, enumerate_structures
+from oracles import is_two_critical, mobius, threshold_covered
 
 
 def _report(num: int, problems: list[str], detail: str) -> None:

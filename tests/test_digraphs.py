@@ -98,12 +98,15 @@ def test_fixture_repeat_permutations() -> None:
     assert chk.orders == (4, 2, 4, 4, 2, 4)
     assert chk.self_repeats == ()
     assert chk.cycle_structure().entries == ((2, 1), (4, 1))
+    assert chk.period == 4
     assert chk.r_power(2) == (5, 1, 3, 2, 4, 0)
+    assert chk.r_power(4) == chk.r_power(0) == tuple(range(6))
 
     chk33 = verify_moore(FIX_33, 2, 2)
     assert chk33.P == (2, 4, 5, 1, 3, 0)
     assert chk33.orders == (3,) * 6
     assert chk33.cycle_structure().entries == ((3, 2),)
+    assert chk33.period == 3
 
 
 def test_battery_green_on_generated_and_fixture_instances() -> None:
@@ -212,6 +215,16 @@ def test_subdigraph_theorem_cycle_branch_synthetic() -> None:
     assert rep.vertices == (0, 1)
     assert rep.failures == ("rk_closed",)
     assert not rep.passed
+
+
+def test_subdigraph_theorem_cycle_shape_rejects_a_tail() -> None:
+    # 0 -> 1 -> 2 -> 1 has one out-arc per vertex and three vertices, but it
+    # is a 2-cycle with a tail, not C_3
+    gs = Digraph(3, ((1,), (2,), (1,)))
+    fake = MooreCheck(d=2, k=3, P=(0, 1, 2), orders=(1, 1, 1), self_repeats=(0, 1, 2))
+    rep = check_subdigraph_theorem(gs, fake, 2)
+    assert rep.is_cycle_case
+    assert "self_repeat_cycle_shape" in rep.failures
 
 
 def test_r_set_sizes_fixture_values() -> None:

@@ -121,6 +121,16 @@ def test_check_infeasible_mu_collapse_6_11() -> None:
     assert check_infeasible(build_trace_system(6, 11), 2) is True
 
 
+def test_check_infeasible_refuses_ell_outside_the_system() -> None:
+    # ell_max = 2 at (6, 11); rows 3 and 13 would equal row 1, but the
+    # system does not contain them
+    sys = build_trace_system(6, 11)
+    assert sys.ell_max == 2
+    assert check_infeasible(sys, 2) is True
+    for ell in (0, 1, 3, 13):
+        assert check_infeasible(sys, ell) is False
+
+
 def test_check_infeasible_needs_equal_rows_4_9() -> None:
     # 3 divides 9: row 3 is (2, -3), row 1 is (-1, 0), nothing collapses
     sys = build_trace_system(4, 9)

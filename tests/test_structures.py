@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amdigraph.structures import CycleStructure, enumerate_structures, is_two_critical
+from amdigraph.structures import CycleStructure, enumerate_structures
+from oracles import is_two_critical, structures_by_filter
 
 
 def _mk(k: int, mapping: dict[int, int]) -> CycleStructure:
@@ -14,7 +16,6 @@ def test_from_map_drops_zero_multiplicities() -> None:
     s = CycleStructure.from_map(10, 2, {1: 2, 2: 4, 3: 0})
     assert s.entries == ((1, 2), (2, 4))
     assert s.N == 10
-    assert s.lengths() == (1, 2)
 
 
 def test_two_critical_witness_normal_form() -> None:
@@ -50,6 +51,22 @@ def test_enumerate_structures_5_2_frozen_list() -> None:
         ((1, 2), (2, 12), (4, 1)),
         ((1, 2), (2, 14)),
     ]
+
+
+@pytest.mark.parametrize(
+    "d_prime,k",
+    [(d, k) for d in range(2, 7) for k in (2, 3)] + [(4, 4), (5, 4), (9, 2)],
+)
+def test_enumerate_structures_matches_filter_reference(d_prime: int, k: int) -> None:
+    assert enumerate_structures(d_prime, k) == structures_by_filter(d_prime, k)
+
+
+def test_enumerate_structures_7_3_counts_each_family() -> None:
+    # 99 structures on {2,4}, 66 on {3,6} and one on {6} alone
+    out = enumerate_structures(7, 3)
+    assert len(out) == 166
+    least = [next(j for j, _ in s.entries if j > 1) for s in out]
+    assert (least.count(2), least.count(3), least.count(6)) == (99, 66, 1)
 
 
 @given(st.integers(min_value=3, max_value=6), st.integers(min_value=2, max_value=3))
