@@ -11,9 +11,23 @@ sum at most n products of two residues, so they stay exact in int64 while
 n*(p-1)**2 < 2**63: with p < 2**20 that holds for every n below 2**23.  The
 primes this package feeds in are a few hundred at most.
 
-Euclidean division, remainders and (extended) gcds run on Python int lists:
-a long division touches one coefficient per step, which numpy calls would
-only slow down.
+Euclidean division, remainders and (extended) gcds pack each operand into
+one Python int, one 64-bit slot per coefficient, the leading coefficient in
+the lowest slot (Kronecker substitution; von zur Gathen & Gerhard, Modern
+Computer Algebra, 8.4).  A quotient step reads the lowest slot mod p, adds
+(p - c) times the divisor, which makes that slot 0 mod p, and shifts it out:
+one multi-precision multiply-add per step in place of a loop over the
+divisor's coefficients.  Slots only grow, so no borrow crosses a slot, and
+they are reduced mod p only when they must be.  In one division a slot
+receives at most min(quotient length, deg b + 1) additions, each at most
+p - 1 times the divisor's largest slot.  Euclid carries such a bound for
+every remainder and reduces both operands (unpack, % p, repack) only before
+a division whose bound would pass 2**63 - 1, so slots always read back as
+int64.  From reduced operands the bound is (p-1) + (deg b + 1)*(p-1)**2,
+which stays below 2**63 for deg b below 2**23 when p < 2**20, as for the
+convolution.  A long quotient runs on a window of the divisor's length plus
+16 slots, topped up from the dividend every 16 steps, so a step costs
+O(deg b) words whatever the dividend's length.
 
 The distinct-degree routine uses the Frobenius matrix (rows x^{p*j} mod f) so
 repeated Frobenius steps are matrix-vector products, with gcd extraction
@@ -89,40 +103,91 @@ def gf_monic(a: GFArray, p: int) -> GFArray:
     return gf_scale(a, pow(int(a[-1]), p - 2, p), p)
 
 
-def _divmod_list(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Long division of trimmed coefficient lists, b nonzero: (quotient, remainder).
+_SLOT = np.dtype("<i8")
+_MASK = (1 << 64) - 1
+_LIMIT = (1 << 63) - 1  # slots stay below 2**63, so they read back as int64
+_WINDOW = 16  # quotient steps between two top-ups of the division window
+_WINDOW_MASK = (1 << 64 * _WINDOW) - 1
 
-    The working remainder is reduced mod p only where a quotient coefficient
-    is read and at the end; Python ints cannot overflow in between.
+
+def _pack(a: GFArray) -> int:
+    """One 64-bit slot per coefficient, the leading one in the lowest slot."""
+    return int.from_bytes(a[::-1].astype(_SLOT, copy=False).tobytes(), "little")
+
+
+def _slots(r: int, n: int) -> GFArray:
+    return np.frombuffer(r.to_bytes(8 * n, "little"), _SLOT)
+
+
+def _reduce(r: int, n: int, p: int) -> int:
+    return int.from_bytes((_slots(r, n) % p).astype(_SLOT, copy=False).tobytes(), "little")
+
+
+def _unpack(r: int, n: int, p: int) -> GFArray:
+    """The n slots of r, reduced mod p, as ascending coefficients."""
+    return _slots(r, n)[::-1] % p
+
+
+def _divide(a: int, na: int, b: int, nb: int, p: int) -> tuple[int, int, list[int]]:
+    """Long division of packed a (na slots) by packed b (nb slots, the leading
+    one a unit mod p); the caller keeps every slot below 2**63.
+
+    Returns the remainder, packed, with its leading slots that are 0 mod p
+    dropped, its slot count, and the quotient coefficients negated mod p,
+    leading first.
     """
-    db = len(b) - 1
-    da = len(a) - 1
-    if da < db:
-        return [], a[:]
-    inv = pow(b[-1], -1, p)
-    r = a[:]
-    q = [0] * (da - db + 1)
-    for i in range(da - db, -1, -1):
-        c = r[i + db] % p * inv % p
-        if c:
-            q[i] = c
-            for j in range(db):
-                r[i + j] -= c * b[j]
-    rem = [c % p for c in r[:db]]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return q, rem
+    ninv = p - pow(b & _MASK, -1, p)
+    q: list[int] = []
+    steps = na - nb + 1
+    w, rest = a, 0
+    if steps > _WINDOW:
+        w, rest = a & ((1 << 64 * (nb - 1 + _WINDOW)) - 1), a >> 64 * (nb - 1 + _WINDOW)
+    while steps > 0:
+        for _ in range(min(steps, _WINDOW)):
+            c = (w & _MASK) * ninv % p
+            q.append(c)
+            if c:
+                w += c * b
+            w >>= 64
+        steps -= _WINDOW
+        if steps > 0:
+            w |= (rest & _WINDOW_MASK) << 64 * (nb - 1)
+            rest >>= 64 * _WINDOW
+    n = min(na, nb - 1)
+    while n and (w & _MASK) % p == 0:
+        w >>= 64
+        n -= 1
+    return w, n, q
 
 
-def _array(cs: list[int]) -> GFArray:
-    return np.array(cs, dtype=np.int64)
+def _quotient(q: list[int], p: int) -> GFArray:
+    return -np.array(q[::-1], dtype=np.int64) % p
+
+
+def _euclid(a: GFArray, b: GFArray, p: int, quotients: list[GFArray] | None = None) -> GFArray:
+    """Last nonzero remainder of Euclid on a and b, not made monic.
+
+    Appends each division's quotient to ``quotients`` when given.
+    """
+    r0, n0, r1, n1 = _pack(a), len(a), _pack(b), len(b)
+    b0 = b1 = p - 1  # slot bounds of r0 and r1
+    while n1:
+        # the most multiply-adds one slot of r0 receives in this division
+        touches = min(max(n0 - n1 + 1, 0), n1)
+        if b0 + touches * (p - 1) * b1 > _LIMIT:
+            r0, r1, b0, b1 = _reduce(r0, n0, p), _reduce(r1, n1, p), p - 1, p - 1
+        r, n, q = _divide(r0, n0, r1, n1, p)
+        if quotients is not None:
+            quotients.append(_quotient(q, p))
+        r0, n0, b0, r1, n1, b1 = r1, n1, b1, r, n, b0 + touches * (p - 1) * b1
+    return _unpack(r0, n0, p)
 
 
 def gf_divmod(a: GFArray, b: GFArray, p: int) -> tuple[GFArray, GFArray]:
     if len(b) == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    q, r = _divmod_list(a.tolist(), b.tolist(), p)
-    return _array(q), _array(r)
+    r, n, q = _divide(_pack(a), len(a), _pack(b), len(b), p)
+    return _quotient(q, p), _unpack(r, n, p)
 
 
 def gf_rem(a: GFArray, b: GFArray, p: int) -> GFArray:
@@ -130,27 +195,22 @@ def gf_rem(a: GFArray, b: GFArray, p: int) -> GFArray:
 
 
 def gf_gcd(a: GFArray, b: GFArray, p: int) -> GFArray:
-    r0, r1 = a.tolist(), b.tolist()
-    while r1:
-        r0, r1 = r1, _divmod_list(r0, r1, p)[1]
-    return gf_monic(_array(r0), p)
+    return gf_monic(_euclid(a, b, p), p)
 
 
 def gf_gcdext(a: GFArray, b: GFArray, p: int) -> tuple[GFArray, GFArray, GFArray]:
     """Extended Euclid: (g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = a.tolist(), b.tolist()
+    quotients: list[GFArray] = []
+    g = _euclid(a, b, p, quotients)
+    if len(g) == 0:
+        raise ZeroDivisionError("gcdext of zero polynomials")
     s0, s1 = gf_one(), gf_zero()
     t0, t1 = gf_zero(), gf_one()
-    while r1:
-        q, r = _divmod_list(r0, r1, p)
-        r0, r1 = r1, r
-        q = _array(q)
+    for q in quotients:
         s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
         t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
-    if not r0:
-        raise ZeroDivisionError("gcdext of zero polynomials")
-    c = pow(r0[-1], p - 2, p)
-    return gf_scale(_array(r0), c, p), gf_scale(s0, c, p), gf_scale(t0, c, p)
+    c = pow(int(g[-1]), p - 2, p)
+    return gf_scale(g, c, p), gf_scale(s0, c, p), gf_scale(t0, c, p)
 
 
 def gf_derivative(a: GFArray, p: int) -> GFArray:

@@ -16,6 +16,7 @@ trace correspondence.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -39,7 +40,7 @@ __all__ = [
     "check_subdigraph_theorem",
     "profile_in_neighborhood",
     "check_fixed_walks",
-    "r_set_size",
+    "r_set_sizes",
     "run_battery",
 ]
 
@@ -542,32 +543,42 @@ def check_fixed_walks(g: Digraph, check: MooreCheck) -> bool:
     return True
 
 
-def r_set_size(g: Digraph, check: MooreCheck, ell: int, j: int) -> int:
-    """|R_{ell,j}|: vertices v with a walk r^j(v) -> v of length exactly ell.
+def r_set_sizes(g: Digraph, check: MooreCheck, ell: int, js: Iterable[int]) -> list[int]:
+    """|R_{ell,j}| for each j in js: vertices v with a walk r^j(v) -> v of
+    length exactly ell.
 
     Per-vertex walk counts are found twice: by explicit path search and as
     the diagonal entries of P^j A^ell; the two must agree entrywise (so the
-    path-search total equals the trace).  The returned size counts vertices,
-    which matches the trace exactly when no vertex carries two such walks.
+    path-search total equals the trace).  A size counts vertices, which
+    matches the trace exactly when no vertex carries two such walks.  The
+    walks of length ell and A^ell depend on ell alone, so each is found once
+    for all j.
     """
     if ell < 1 or ell > _WALK_CAP:
         raise ValueError(f"ell must be in 1..{_WALK_CAP}")
-    if j < 1:
+    js = tuple(js)
+    if any(j < 1 for j in js):
         raise ValueError("j must be >= 1")
-    A = g.adjacency()
-    Apow = np.linalg.matrix_power(A, ell)
-    rj = check.r_power(j)
-    combinatorial = []
-    for v in range(g.n):
-        count = sum(1 for walk in _walks_from(g, rj[v], ell) if len(walk) == ell + 1 and walk[-1] == v)
-        combinatorial.append(count)
-        algebraic = int(Apow[rj[v], v])
-        if count != algebraic:
-            raise StructuralViolation(
-                f"walk count {count} != matrix count {algebraic} at v={v},"
-                f" ell={ell}, j={j}"
-            )
-    return sum(1 for c in combinatorial if c > 0)
+    Apow = np.linalg.matrix_power(g.adjacency(), ell)
+    ends = [
+        Counter(walk[-1] for walk in _walks_from(g, u, ell) if len(walk) == ell + 1)
+        for u in range(g.n)
+    ]
+    sizes = []
+    for j in js:
+        rj = check.r_power(j)
+        size = 0
+        for v in range(g.n):
+            count = ends[rj[v]][v]
+            algebraic = int(Apow[rj[v], v])
+            if count != algebraic:
+                raise StructuralViolation(
+                    f"walk count {count} != matrix count {algebraic} at v={v},"
+                    f" ell={ell}, j={j}"
+                )
+            size += count > 0
+        sizes.append(size)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +635,7 @@ def run_battery(g: Digraph, d: int, k: int) -> list[tuple[str, bool, str]]:
     attempt("in_neighborhood_cases", profiles)
 
     def rsets() -> str:
-        total = 0
-        for ell in range(1, 4 + 1):
-            for jj in range(1, g.n + 1):
-                total += r_set_size(g, check, ell, jj)
+        total = sum(sum(r_set_sizes(g, check, ell, range(1, g.n + 1))) for ell in range(1, 4 + 1))
         return f"sum over ell<=4, j<=n: {total}"
 
     attempt("r_set_trace_agreement", rsets)

@@ -16,7 +16,7 @@ from amdigraph.digraphs import (
     check_subdigraph_theorem,
     gen_line_digraph_complete,
     profile_in_neighborhood,
-    r_set_size,
+    r_set_sizes,
     run_battery,
     verify_moore,
 )
@@ -229,13 +229,12 @@ def test_subdigraph_theorem_cycle_shape_rejects_a_tail() -> None:
 
 def test_r_set_sizes_fixture_values() -> None:
     chk = verify_moore(FIX_24, 2, 2)
-    assert [r_set_size(FIX_24, chk, ell, 1) for ell in range(1, 5)] == [0, 6, 4, 6]
-    assert [r_set_size(FIX_24, chk, ell, 2) for ell in range(1, 5)] == [0, 4, 6, 6]
+    assert [r_set_sizes(FIX_24, chk, ell, (1, 2)) for ell in range(1, 5)] == [[0, 0], [6, 4], [4, 6], [6, 6]]
 
 
 def test_r_set_size_validates_arguments() -> None:
     chk = verify_moore(FIX_24, 2, 2)
     with pytest.raises(ValueError):
-        r_set_size(FIX_24, chk, 9, 1)
+        r_set_sizes(FIX_24, chk, 9, (1,))
     with pytest.raises(ValueError):
-        r_set_size(FIX_24, chk, 2, 0)
+        r_set_sizes(FIX_24, chk, 2, (1, 0))

@@ -215,6 +215,29 @@ def test_gcd_and_gcdext_match_sympy(case) -> None:
     assert [lst(x) for x in got] == [from_sympy(h), from_sympy(s), from_sympy(t)]
 
 
+@st.composite
+def long_dividend_and_short_divisor(draw):
+    """The shapes of the squarefree test and of the DDF split gcds: a long
+    quotient run on a divisor of a few coefficients."""
+    p = draw(st.sampled_from(PRIMES))
+    a = draw(poly(p, 301, monic_degree=draw(st.integers(100, 300))))
+    b = draw(poly(p, 9, monic_degree=draw(st.integers(1, 8))))
+    lead = draw(st.integers(1, p - 1))
+    return p, a, [c * lead % p for c in b]
+
+
+@given(long_dividend_and_short_divisor())
+@settings(max_examples=40, deadline=None)
+def test_long_quotient_divmod_and_gcd_match_sympy(case) -> None:
+    p, a, b = case
+    q, r = _gf.gf_divmod(arr(a), arr(b), p)
+    sq, sr = gf_div(sympy_dense(a), sympy_dense(b), p, ZZ)
+    assert (lst(q), lst(r)) == (from_sympy(sq), from_sympy(sr))
+    g = sympy_gcd(sympy_dense(a), sympy_dense(b), p, ZZ)
+    assert lst(_gf.gf_gcd(arr(a), arr(b), p)) == from_sympy(g)
+    assert lst(_gf.gf_gcd(arr(b), arr(a), p)) == from_sympy(g)
+
+
 @given(st.sampled_from(PRIMES), st.integers(1, 120), st.data())
 @settings(max_examples=30, deadline=None)
 def test_distinct_degree_list_matches_unblocked_reference(p: int, n: int, data) -> None:
@@ -282,3 +305,30 @@ def test_int64_edge_largest_prime_degree_300() -> None:
     a_to_p = ref_powmod(a, p, f, p)
     assert lst(ctx.pow(arr(a), p)) == a_to_p
     assert lst(ctx.frobenius(arr(a))) == a_to_p
+
+
+@pytest.mark.parametrize("shape", ["planted degree-75 factor", "degree 300 by degree 2"])
+def test_division_slots_at_largest_prime_degree_300(shape: str) -> None:
+    # at p near 2**20 each division multiplies the remainders' slot bound by
+    # about 2**21, so Euclid reaches the 2**63 slot limit every few divisions
+    # and must reduce; the long quotient of 300 by 2 never reaches it
+    p = 1048573
+    rng = random.Random(75)
+    if shape == "planted degree-75 factor":
+        g = [rng.randrange(p) for _ in range(75)] + [1]
+        a = ref_mul(g, [rng.randrange(p) for _ in range(225)] + [1], p)
+        b = ref_mul(g, [rng.randrange(p) for _ in range(225)] + [rng.randrange(1, p)], p)
+    else:
+        a = [rng.randrange(p) for _ in range(300)] + [rng.randrange(1, p)]
+        b = [rng.randrange(p) for _ in range(2)] + [rng.randrange(1, p)]
+    q, r = _gf.gf_divmod(arr(a), arr(b), p)
+    sq, sr = gf_div(sympy_dense(a), sympy_dense(b), p, ZZ)
+    assert (lst(q), lst(r)) == (from_sympy(sq), from_sympy(sr))
+    assert lst(_gf.gf_rem(arr(a), arr(b), p)) == from_sympy(sr)
+    g = sympy_gcd(sympy_dense(a), sympy_dense(b), p, ZZ)
+    assert lst(_gf.gf_gcd(arr(a), arr(b), p)) == from_sympy(g)
+    if shape == "planted degree-75 factor":
+        assert len(g) == 76
+    s, t, h = gf_gcdex(sympy_dense(a), sympy_dense(b), p, ZZ)
+    got = _gf.gf_gcdext(arr(a), arr(b), p)
+    assert [lst(x) for x in got] == [from_sympy(h), from_sympy(s), from_sympy(t)]
