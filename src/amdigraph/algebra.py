@@ -90,12 +90,6 @@ class IntPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __getitem__(self, j: int) -> int:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
@@ -150,18 +144,6 @@ class IntPoly:
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         return poly_mul(self, other)
 
-    def __pow__(self, e: int) -> "IntPoly":
-        if e < 0:
-            raise ValueError("negative exponent")
-        r = IntPoly.one()
-        b = self
-        while e:
-            if e & 1:
-                r = poly_mul(r, b)
-            b = poly_mul(b, b)
-            e >>= 1
-        return r
-
     def scale(self, c: int) -> "IntPoly":
         return IntPoly(tuple(c * a for a in self.coeffs))
 
@@ -201,38 +183,25 @@ def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _kronecker_mul(ca: Sequence[int], cb: Sequence[int]) -> list[int]:
-    # Split into nonnegative parts so each packed integer has nonnegative
-    # fixed-width slots; slot width covers the largest convolution entry.
+    # One slot of `width` bytes per coefficient, each offset by h, half the
+    # slot's range: a slot then holds c + h in [0, 2h) for any |c| < h, and
+    # the width makes h exceed the largest convolution entry.  Packing,
+    # subtracting the all-h constant, evaluates each polynomial at 2^(8w);
+    # adding it back over the product's slots makes every slot nonnegative.
     na = max(abs(c) for c in ca)
     nb = max(abs(c) for c in cb)
     bits = (na * nb * min(len(ca), len(cb))).bit_length() + 1
     width = (bits + 7) // 8 + 1  # slot width in bytes
+    h = 1 << (8 * width - 1)
+    hs = h.to_bytes(width, "little")
 
-    def pack(cs, sign):
-        return int.from_bytes(
-            b"".join(
-                (c if sign > 0 else -c if c < 0 else 0).to_bytes(width, "little")
-                if (c > 0 if sign > 0 else c < 0)
-                else bytes(width)
-                for c in cs
-            ),
-            "little",
-        )
+    def pack(cs):
+        packed = b"".join((c + h).to_bytes(width, "little") for c in cs)
+        return int.from_bytes(packed, "little") - int.from_bytes(hs * len(cs), "little")
 
-    ap, am = pack(ca, +1), pack(ca, -1)
-    bp, bm = pack(cb, +1), pack(cb, -1)
-    pos = ap * bp + am * bm
-    neg = ap * bm + am * bp
     n = len(ca) + len(cb) - 1
-    raw_p = pos.to_bytes(n * width + width, "little")
-    raw_n = neg.to_bytes(n * width + width, "little")
-    out = []
-    for j in range(n):
-        seg = slice(j * width, (j + 1) * width)
-        out.append(
-            int.from_bytes(raw_p[seg], "little") - int.from_bytes(raw_n[seg], "little")
-        )
-    return out
+    raw = (pack(ca) * pack(cb) + int.from_bytes(hs * n, "little")).to_bytes(n * width, "little")
+    return [int.from_bytes(raw[j * width : (j + 1) * width], "little") - h for j in range(n)]
 
 
 def poly_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:

@@ -160,11 +160,18 @@ def _check_bounds(cmd: str, **ranges: tuple[int, int]) -> None:
         raise _UsageError(f"{cmd} requires {caps}")
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        _write(Path(out), text)
 
 
 def _map_cells(fn, cells, jobs: int):
@@ -227,10 +234,12 @@ def _cmd_conjecture(args) -> int:
         counts[row["match"]] += 1
     if args.out is not None:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {outdir}: {exc}") from None
         for row in rows:
-            path = outdir / f"factor_i{row['i']}_k{row['k']}.json"
-            path.write_text(json.dumps(row, indent=2) + "\n")
+            _write(outdir / f"factor_i{row['i']}_k{row['k']}.json", json.dumps(row, indent=2) + "\n")
         summary = {
             "i_range": [ilo, ihi],
             "k_range": [klo, khi],
@@ -239,7 +248,7 @@ def _cmd_conjecture(args) -> int:
         }
         if not args.deterministic:
             summary["generated_at"] = datetime.now(timezone.utc).isoformat()
-        (outdir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        _write(outdir / "summary.json", json.dumps(summary, indent=2) + "\n")
     print(
         f"i={ilo}..{ihi} k={klo}..{khi}: {len(rows)} cells,"
         f" {counts['Consistent']} Consistent,"
@@ -301,7 +310,7 @@ def _cmd_oracle(args) -> int:
 
     try:
         text = Path(args.file).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {args.file}: {exc}") from None
     try:
         g, d, k = Digraph.parse(text)

@@ -47,7 +47,6 @@ from .algebra import (
     IntPoly,
     NotDivisible,
     factorize,
-    poly_divexact,
     poly_divmod,
     poly_mul,
     prime_range_from,
@@ -85,20 +84,29 @@ class NotSquarefree(ValueError):
 
 @dataclass(frozen=True)
 class FactorReport:
-    """Outcome of factoring one F_{i,k} over the rationals."""
+    """Outcome of factoring one F_{i,k} over the rationals; the verdict and
+    the certificate kind are read off ``factor_degrees`` and ``factors``."""
 
     i: int
     k: int
     degree: int
-    verdict: str  # "Irreducible" | "Reducible" | "Unresolved"
-    factor_degrees: tuple[int, ...]
-    certificate_kind: str  # "DegreeSetIntersection" | "FullFactorization"
+    factor_degrees: tuple[int, ...]  # ascending; () when Unresolved
     primes_used: tuple[int, ...]
-    factors: tuple[IntPoly, ...] = ()  # populated for FullFactorization
+    factors: tuple[IntPoly, ...] = ()  # the exhibited factors, if any
 
     def __post_init__(self):
-        if self.verdict != "Unresolved":
+        if self.factor_degrees:
             assert sum(self.factor_degrees) == self.degree
+
+    @property
+    def verdict(self) -> str:
+        if not self.factor_degrees:
+            return "Unresolved"
+        return "Irreducible" if len(self.factor_degrees) == 1 else "Reducible"
+
+    @property
+    def certificate_kind(self) -> str:
+        return "FullFactorization" if self.factors else "DegreeSetIntersection"
 
 
 @dataclass(frozen=True)
@@ -449,36 +457,27 @@ def split_index(i: int) -> int:
     return i
 
 
-def _one_primitive_root(p: int) -> int:
-    fac = factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise ArithmeticError(f"no primitive root mod {p}")
-
-
 def _primitive_ith_roots(i: int, p: int) -> list[int]:
     # residues of the phi(i) primitive i-th roots of unity, one per prime of
-    # Q(zeta_i) above p; requires p = 1 (mod i)
-    z0 = pow(_one_primitive_root(p), (p - 1) // i, p)
-    return [pow(z0, t, p) for t in range(1, i + 1) if gcd(t, i) == 1]
+    # Q(zeta_i) above p; requires p = 1 (mod i).  a^((p-1)/i) has order
+    # dividing i, and exactly i unless its (i/q)-th power is 1 for a prime q | i
+    qs = factorize(i)
+    for a in range(2, p):
+        z0 = pow(a, (p - 1) // i, p)
+        if all(pow(z0, i // q, p) != 1 for q in qs):
+            return [pow(z0, t, p) for t in range(1, i + 1) if gcd(t, i) == 1]
+    raise ArithmeticError(f"no primitive {i}-th root of unity mod {p}")
 
 
 def _chain_minus_root(k: int, zbar: int, p: int, peel: bool) -> _gf.GFArray | None:
-    """s(x) - zbar over F_p, optionally with the root -1/zbar divided out."""
+    """s(x) - zbar over F_p, optionally with the root -1/zbar divided out;
+    None when -1/zbar is not a root there, so the sample is unusable."""
     cs = np.ones(k + 1, dtype=np.int64)
     cs[0] = (1 - zbar) % p
     if not peel:
         return cs
-    x0 = (-pow(zbar, p - 2, p)) % p
-    out = np.empty(k, dtype=np.int64)
-    acc = 0
-    for j in range(k, 0, -1):
-        acc = (int(cs[j]) + x0 * acc) % p
-        out[j - 1] = acc
-    if (int(cs[0]) + x0 * acc) % p != 0:
-        return None  # -1/zbar is not a root here; sample unusable
-    return _gf.gf_trim(out)
+    q, r = _gf.gf_divmod(cs, np.array([pow(zbar, -1, p), 1], dtype=np.int64), p)
+    return q if len(r) == 0 else None
 
 
 def _certify_tower(i: int, k: int, peel: bool) -> tuple[bool, tuple[int, ...]]:
@@ -511,64 +510,24 @@ _FULL_FACTOR_DEGREE = 48  # below this, go straight to factor_over_Q
 
 
 def _observe(i: int, k: int) -> FactorReport:
+    """Factor F_{i,k} outright up to _FULL_FACTOR_DEGREE, else by the tower,
+    peeled of Phi_m when Phi_m divides F.  A tower that does not certify
+    leaves the report Unresolved: no factor degrees and no factors."""
     F = build_F(i, k)
     n = F.degree
-
     if n <= _FULL_FACTOR_DEGREE:
         factors, primes = _factor_over_Q(F)
         assert factors is not None
-        verdict = "Irreducible" if len(factors) == 1 else "Reducible"
-        return FactorReport(
-            i=i,
-            k=k,
-            degree=n,
-            verdict=verdict,
-            factor_degrees=tuple(sorted(g.degree for g in factors)),
-            certificate_kind="FullFactorization",
-            primes_used=primes,
-            factors=factors,
-        )
+        return FactorReport(i, k, n, tuple(sorted(g.degree for g in factors)), primes, factors)
 
-    try:
-        cofactor = poly_divexact(F, cyclotomic(split_index(i)))
-    except NotDivisible:
-        cofactor = None
-
-    if cofactor is not None:
-        ok, primes = _certify_tower(i, k, peel=True)
-        if ok:
-            phi_m = cyclotomic(split_index(i))
-            return FactorReport(
-                i=i,
-                k=k,
-                degree=n,
-                verdict="Reducible",
-                factor_degrees=tuple(sorted((phi_m.degree, cofactor.degree))),
-                certificate_kind="FullFactorization",
-                primes_used=primes,
-                factors=(phi_m, cofactor),
-            )
-    else:
+    phi_m = cyclotomic(split_index(i))
+    cofactor, rem = poly_divmod(F, phi_m)  # Phi_m is monic
+    if not rem.is_zero:
         ok, primes = _certify_tower(i, k, peel=False)
-        if ok:
-            return FactorReport(
-                i=i,
-                k=k,
-                degree=n,
-                verdict="Irreducible",
-                factor_degrees=(n,),
-                certificate_kind="DegreeSetIntersection",
-                primes_used=primes,
-            )
-    return FactorReport(
-        i=i,
-        k=k,
-        degree=n,
-        verdict="Unresolved",
-        factor_degrees=(),
-        certificate_kind="DegreeSetIntersection",
-        primes_used=primes,
-    )
+        return FactorReport(i, k, n, (n,) if ok else (), primes)
+    ok, primes = _certify_tower(i, k, peel=True)
+    factors = (phi_m, cofactor) if ok else ()
+    return FactorReport(i, k, n, tuple(sorted(g.degree for g in factors)), primes, factors)
 
 
 def score_conjecture(

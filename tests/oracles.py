@@ -17,6 +17,15 @@ def evaluate(poly: IntPoly, x: int) -> int:
     return acc
 
 
+def schoolbook_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a * b by the quadratic convolution, coefficient by coefficient."""
+    out = [0] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPoly(out)
+
+
 def primes_in(lo: int, hi: int) -> list[int]:
     """Primes in the half-open interval [lo, hi), ascending, by a sieve."""
     lo = max(lo, 2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from amdigraph.algebra import (
     poly_mul,
     prime_range_from,
 )
-from oracles import evaluate, mobius, primes_in
+from oracles import evaluate, mobius, primes_in, schoolbook_mul
 
 coeff = st.integers(min_value=-(10**6), max_value=10**6)
 small_poly = st.lists(coeff, min_size=0, max_size=33).map(IntPoly)
@@ -69,6 +70,31 @@ def test_poly_mul_known_product() -> None:
     # (x + 1)(x - 1) = x^2 - 1
     assert poly_mul(IntPoly((1, 1)), IntPoly((-1, 1))).coeffs == (-1, 0, 1)
     assert poly_mul(IntPoly.zero(), IntPoly((3, 2))).is_zero
+
+
+@pytest.mark.parametrize(
+    "la, lb, bits, negative",
+    [
+        (45, 45, 400, False),  # 2025 coefficient pairs: the schoolbook loop
+        (64, 32, 60, True),  # 2048 pairs, the last below the cutoff
+        (46, 45, 400, False),  # 2070 pairs: Kronecker substitution
+        (300, 301, 60, False),
+        (1300, 2, 400, True),  # lopsided
+        (3, 1300, 1, False),
+        (1300, 40, 400, True),
+    ],
+)
+def test_poly_mul_matches_schoolbook_on_both_sides_of_the_cutoff(
+    la: int, lb: int, bits: int, negative: bool
+) -> None:
+    rng = random.Random(la * lb + bits)
+
+    def draw(n: int) -> IntPoly:
+        cs = [rng.randint(-(2**bits), 2**bits) for _ in range(n - 1)] + [2**bits]
+        return IntPoly(-abs(c) for c in cs) if negative else IntPoly(cs)
+
+    a, b = draw(la), draw(lb)
+    assert poly_mul(a, b) == schoolbook_mul(a, b)
 
 
 def test_poly_divmod_known_case() -> None:

@@ -82,6 +82,29 @@ def test_factor_conjecture_and_gen_caps_exit_one(
     assert captured.err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("decide 6 11 --out {missing}/c.json", "cannot write"),
+        ("sweep --d 6 --k 5 --out {missing}/s.csv", "cannot write"),
+        ("oracle gen --d 3 --out {tmp}", "cannot write"),
+        ("conjecture --i 3 --k 5 --out {file}", "cannot write"),
+        ("oracle check {binary}", "cannot read"),
+    ],
+)
+def test_file_errors_exit_one_with_one_line(
+    argv: str, message: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    (tmp_path / "file").write_text("")
+    (tmp_path / "binary").write_bytes(b"\xff\xfe")  # not UTF-8
+    paths = {"missing": tmp_path / "missing", "tmp": tmp_path,
+             "file": tmp_path / "file", "binary": tmp_path / "binary"}
+    assert main(argv.format(**paths).split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {message} ")
+    assert err.count("\n") == 1
+
+
 def test_decide_unknown_exits_two(
     monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
 ) -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
@@ -120,6 +122,18 @@ def test_certify_tower_stops_at_scan_cap(monkeypatch: pytest.MonkeyPatch) -> Non
     assert factorization._certify_tower(12, 26, peel=True) == (False, ())
     assert len(scanned) == cap
     assert all((p - 1) % 12 == 0 for p in scanned)
+
+
+@pytest.mark.parametrize("i", range(3, 31))
+def test_primitive_ith_roots_are_the_elements_of_order_i(i: int) -> None:
+    for p in islice((q for q in prime_range_from(101) if (q - 1) % i == 0), 3):
+        roots = factorization._primitive_ith_roots(i, p)
+        order_i = {
+            z for z in range(1, p)
+            if pow(z, i, p) == 1 and all(pow(z, e, p) != 1 for e in range(1, i))
+        }
+        assert len(roots) == len(order_i) == euler_phi(i)
+        assert set(roots) == order_i
 
 
 def test_certify_irreducible_budget_is_not_read_from_the_environment(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -345,6 +359,27 @@ def test_conjecture_verdict_large_degree_routes() -> None:
     prod = poly_mul(*red.observed.factors)
     assert prod == build_F(5, 18)
     assert red.observed.factors[0] == cyclotomic(split_index(5))
+
+
+@pytest.mark.parametrize("i, k, peel", [(5, 14, False), (5, 18, True)])
+def test_observe_is_unresolved_when_the_tower_does_not_certify(
+    i: int, k: int, peel: bool, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    calls = []
+
+    def fail(i, k, peel):
+        calls.append(peel)
+        return False, (101, 131)
+
+    monkeypatch.setattr(factorization, "_certify_tower", fail)
+    v = conjecture_verdict.__wrapped__(i, k)  # past the cache
+    assert calls == [peel]
+    assert v.observed.verdict == "Unresolved"
+    assert v.observed.certificate_kind == "DegreeSetIntersection"
+    assert v.observed.factor_degrees == ()
+    assert v.observed.factors == ()
+    assert v.observed.primes_used == (101, 131)
+    assert v.match == "Unresolved"
 
 
 def test_conjecture_verdict_rejects_domain_errors() -> None:
