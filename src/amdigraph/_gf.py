@@ -190,10 +190,6 @@ def gf_divmod(a: GFArray, b: GFArray, p: int) -> tuple[GFArray, GFArray]:
     return _quotient(q, p), _unpack(r, n, p)
 
 
-def gf_rem(a: GFArray, b: GFArray, p: int) -> GFArray:
-    return gf_divmod(a, b, p)[1]
-
-
 def gf_gcd(a: GFArray, b: GFArray, p: int) -> GFArray:
     return gf_monic(_euclid(a, b, p), p)
 
@@ -257,7 +253,7 @@ class PolyMod:
 
     def pow(self, a: GFArray, e: int) -> GFArray:
         r = gf_one()
-        a = gf_rem(a, self.f, self.p)
+        a = gf_divmod(a, self.f, self.p)[1]
         while e:
             if e & 1:
                 r = self.mul(r, a)
@@ -341,14 +337,9 @@ def gf_distinct_degree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
     the list the gcds would have built.
     """
     ctx = PolyMod(f, p)
-    n = ctx.n
-    if n == 0:
-        return []
-    if n == 1:
-        return [(ctx.f, 1)]
     out: list[tuple[GFArray, int]] = []
     remaining = ctx.f
-    rem_deg = n
+    rem_deg = ctx.n
     x = gf_x()
     h = x
     j = 0
@@ -386,25 +377,21 @@ def gf_distinct_degree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
 
 def gf_equal_degree_split(f: GFArray, d: int, p: int, rng: random.Random) -> list[GFArray]:
     """Cantor-Zassenhaus: split monic squarefree f, all factors of degree d,
-    p odd."""
+    p odd.
+
+    A constant or zero draw a needs no skip: a**((p**d - 1)/2) - 1 is then
+    0, -2 or -1, so its gcd with f is f or 1, which splits nothing, and the
+    loop draws again."""
     n = gf_degree(f)
     if n == d:
         return [f]
     ctx = PolyMod(f, p)
     while True:
-        a = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
-        a = gf_trim(a)
-        if gf_degree(a) < 1:
-            continue
-        g = gf_gcd(f, a, p)
+        a = gf_trim(np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64))
+        g = gf_gcd(f, gf_sub(ctx.pow(a, (p**d - 1) // 2), gf_one(), p), p)
         if 0 < gf_degree(g) < n:
-            h = gf_divmod(f, g, p)[0]
             break
-        b = ctx.pow(a, (p**d - 1) // 2)
-        g = gf_gcd(f, gf_sub(b, gf_one(), p), p)
-        if 0 < gf_degree(g) < n:
-            h = gf_divmod(f, g, p)[0]
-            break
+    h = gf_divmod(f, g, p)[0]
     return gf_equal_degree_split(g, d, p, rng) + gf_equal_degree_split(h, d, p, rng)
 
 

@@ -14,6 +14,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .digraphs import (
@@ -160,23 +161,27 @@ def _check_bounds(cmd: str, **ranges: tuple[int, int]) -> None:
         raise _UsageError(f"{cmd} requires {caps}")
 
 
-def _write(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}") from None
-
-
-def _write_or_print(text: str, out: str | None) -> None:
+def _output(out: str | Path | None) -> Callable[[str], None]:
+    """The writer for a command's text: stdout, or the --out file, opened
+    here so that a bad path fails before any cell is computed."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        _write(Path(out), text)
+        return sys.stdout.write
+    try:
+        f = open(out, "w")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc}") from None
+
+    def write(text: str) -> None:
+        try:
+            with f:
+                f.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc}") from None
+
+    return write
 
 
 def _map_cells(fn, cells, jobs: int):
-    if jobs < 1:
-        raise _UsageError("--jobs must be at least 1")
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
         from multiprocessing import Pool
@@ -193,10 +198,10 @@ def _map_cells(fn, cells, jobs: int):
 
 def _cmd_decide(args) -> int:
     _check_bounds("decide", d=(args.d, args.d), k=(args.k, args.k))
+    write = _output(args.out)
     cert = decide(args.d, args.k)
     validate_certificate(cert)
-    text = serialize_certificate(cert, deterministic=args.deterministic)
-    _write_or_print(text, args.out)
+    write(serialize_certificate(cert, deterministic=args.deterministic))
     if args.out is not None:
         witness = f" witness={cert.witness}" if cert.witness is not None else ""
         print(f"({args.d},{args.k}): {cert.verdict} [{cert.method}{witness}]")
@@ -228,18 +233,19 @@ def _cmd_conjecture(args) -> int:
     klo, khi = _parse_range(args.k)
     _check_bounds("conjecture", i=(ilo, ihi), k=(klo, khi))
     cells = [(i, k) for i in range(ilo, ihi + 1) for k in range(klo, khi + 1)]
-    rows = _map_cells(_conjecture_cell, cells, args.jobs)
-    counts = {"Consistent": 0, "Inconsistent": 0, "Unresolved": 0}
-    for row in rows:
-        counts[row["match"]] += 1
-    if args.out is not None:
-        outdir = Path(args.out)
+    outdir = None if args.out is None else Path(args.out)
+    if outdir is not None:  # made before any cell is computed
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise _UsageError(f"cannot write {outdir}: {exc}") from None
+    rows = _map_cells(_conjecture_cell, cells, args.jobs)
+    counts = {"Consistent": 0, "Inconsistent": 0, "Unresolved": 0}
+    for row in rows:
+        counts[row["match"]] += 1
+    if outdir is not None:
         for row in rows:
-            _write(outdir / f"factor_i{row['i']}_k{row['k']}.json", json.dumps(row, indent=2) + "\n")
+            _output(outdir / f"factor_i{row['i']}_k{row['k']}.json")(json.dumps(row, indent=2) + "\n")
         summary = {
             "i_range": [ilo, ihi],
             "k_range": [klo, khi],
@@ -248,7 +254,7 @@ def _cmd_conjecture(args) -> int:
         }
         if not args.deterministic:
             summary["generated_at"] = datetime.now(timezone.utc).isoformat()
-        _write(outdir / "summary.json", json.dumps(summary, indent=2) + "\n")
+        _output(outdir / "summary.json")(json.dumps(summary, indent=2) + "\n")
     print(
         f"i={ilo}..{ihi} k={klo}..{khi}: {len(rows)} cells,"
         f" {counts['Consistent']} Consistent,"
@@ -271,12 +277,13 @@ def _cmd_sweep(args) -> int:
     klo, khi = _parse_range(args.k)
     _check_bounds("sweep", d=(dlo, dhi), k=(klo, khi))
     cells = [(d, k) for d in range(dlo, dhi + 1) for k in range(klo, khi + 1)]
+    write = _output(args.out)
     rows = _map_cells(_sweep_cell, cells, args.jobs)
     lines = ["d,k,verdict,method,witness,runtime_ms"]
     for d, k, verdict, method, witness, ms in sorted(rows):
         w = "" if witness is None else str(witness)
         lines.append(f"{d},{k},{verdict},{method},{w},{0 if args.deterministic else ms}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    write("\n".join(lines) + "\n")
     if args.out is not None:
         print(f"{len(rows)} cells -> {args.out}")
     return 0
@@ -302,8 +309,9 @@ def _cmd_factor(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.oracle_cmd == "gen":
         _check_bounds("oracle gen", d=(args.d, args.d))
+        write = _output(args.out)
         g = gen_line_digraph_complete(args.d)
-        _write_or_print(g.serialize(args.d, 2), args.out)
+        write(g.serialize(args.d, 2))
         if args.out is not None:
             print(f"(d,k)=({args.d},2) instance with {g.n} vertices -> {args.out}")
         return 0
@@ -401,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # before any --out file is opened
+        if getattr(args, "jobs", 1) < 1:
+            raise _UsageError("--jobs must be at least 1")
         return args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

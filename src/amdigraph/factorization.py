@@ -12,9 +12,10 @@ The scan from _PRIME_FLOOR and the rational factorization are memoised per
 sign-normalised polynomial in bounded caches (``_CACHE_SIZE`` entries each),
 so ``certify_irreducible`` after ``factor_over_Q`` on the same polynomial, or
 the reverse, reuses the scan and the Hensel factorization instead of
-repeating them.  The scan starts with the squarefree gate
-(``_require_squarefree``), so a repeated factor ends it after 41 primes
-with NotSquarefree.  Three users:
+repeating them.  The squarefree gate lives in the prime stream
+``_reductions`` that every scan of a rational polynomial reads, so a
+repeated factor ends the scan after 41 primes with NotSquarefree.  Three
+users:
 
 * degree-set certification (``certify_irreducible``) over the squarefree
   full-degree reductions that ``_reductions`` yields;
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator
 
@@ -171,10 +172,20 @@ def _ddf_degrees(f: _gf.GFArray, p: int) -> list[int]:
 
 def _reductions(poly: IntPoly, primes: Iterable[int]) -> Iterator[tuple[int, list[_gf.GFArray]]]:
     """(p, [poly mod p]) for each prime, or (p, []) when the reduction drops
-    degree or is not squarefree."""
-    for p in primes:
+    degree or is not squarefree.
+
+    The squarefree gate: one squarefree image among the first 41 pairs
+    proves poly squarefree.  Without one, the exact gcd(poly, poly') is
+    decided before the 41st pair is yielded, and NotSquarefree is raised
+    when it is nonconstant."""
+    seen = False
+    for count, p in enumerate(primes, 1):
         f = None if poly.lead % p == 0 else _gf.gf_from_coeffs(poly.coeffs, p)
-        yield p, [] if f is None or not _gf.gf_is_squarefree(f, p) else [f]
+        images = [] if f is None or not _gf.gf_is_squarefree(f, p) else [f]
+        seen = seen or bool(images)
+        if count == 41 and not seen and not _rational_gcd_is_constant(poly, poly.derivative()):
+            raise NotSquarefree("polynomial shares a factor with its derivative")
+        yield p, images
 
 
 def _intersect(
@@ -203,35 +214,14 @@ def _intersect(
     return mask, counts
 
 
-def _require_squarefree(
-    f: IntPoly, reductions: Iterator[tuple[int, list[_gf.GFArray]]]
-) -> list[tuple[int, list[_gf.GFArray]]]:
-    """The squarefree gate over ``reductions``, the stream ``_reductions``
-    yields for f: one squarefree modular image among its first 41 primes
-    proves f squarefree; without one, the exact gcd(f, f') decides, and
-    NotSquarefree is raised when it is nonconstant.  Returns the pairs it
-    read, which end at the first usable prime."""
-    read = []
-    for p, images in islice(reductions, 41):
-        read.append((p, images))
-        if images:
-            return read
-    if not _rational_gcd_is_constant(f, f.derivative()):
-        raise NotSquarefree("polynomial shares a factor with its derivative")
-    return read
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def _scan(f: IntPoly) -> tuple[int, tuple[tuple[int, int], ...]]:
     """``_intersect`` over the reductions of f at the primes from
     _PRIME_FLOOR up: the mask and the (prime, factor count) pairs in scan
-    order.  NotSquarefree, from the gate, when f has a repeated factor; the
-    scan goes on from the pairs the gate read, so no prime is reduced twice.
-    Negating f changes no mod-p degree, so callers pass f with a positive
-    leading coefficient and share one entry."""
-    reductions = _reductions(f, prime_range_from(_PRIME_FLOOR))
-    read = _require_squarefree(f, reductions)
-    mask, counts = _intersect(f.degree, chain(read, reductions))
+    order.  NotSquarefree, from the gate in ``_reductions``, when f has a
+    repeated factor.  Negating f changes no mod-p degree, so callers pass f
+    with a positive leading coefficient and share one entry."""
+    mask, counts = _intersect(f.degree, _reductions(f, prime_range_from(_PRIME_FLOOR)))
     return mask, tuple(counts.items())
 
 
@@ -361,7 +351,8 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...] | None, tuple[int, .
     if n == 1:
         return (f,), ()
     if n > _DEGREE_CAP:
-        _require_squarefree(f, _reductions(f, prime_range_from(_PRIME_FLOOR)))
+        # the gate alone: at most 41 pairs, up to the first image
+        any(images for _, images in islice(_reductions(f, prime_range_from(_PRIME_FLOOR)), 41))
         return None, ()
 
     # degree-set pruning mask, behind the squarefree gate

@@ -3,9 +3,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from amdigraph.algebra import IntPoly, divisors, factorize
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_div, gf_factor_sqf, gf_sqf_p
+
+from amdigraph.algebra import IntPoly, divisors, euler_phi, factorize
+from amdigraph.factorization import _FULL_FACTOR_DEGREE, FactorReport
+from amdigraph.sieve import settled
 from amdigraph.structures import CycleStructure
 
 
@@ -110,3 +115,61 @@ def structures_by_filter(d_prime: int, k: int) -> list[CycleStructure]:
         if ok and (d_prime - 1) % alpha == 0:
             out.append(s)
     return out
+
+
+def tower_cells() -> list[tuple[int, int]]:
+    """The (i, k) behind the conjecture cells of d = 6..12, k = 3..300 whose
+    F_{i,k} is above the full-factoring degree, so that only the tower
+    settles it: every i in 3..d-1 of a cell that no settled rule covers."""
+    cells = {(i, k) for d in range(6, 13) for k in range(3, 301) if settled(d, k) is None
+             for i in range(3, d)}
+    return sorted((i, k) for i, k in cells if euler_phi(i) * k > _FULL_FACTOR_DEGREE)
+
+
+def _has_order(z: int, i: int, p: int) -> bool:
+    # z, z^2, ..., z^i: the first 1 must come at z^i
+    w = 1
+    for t in range(1, i + 1):
+        w = w * z % p
+        if w == 1:
+            return t == i
+    return False
+
+
+def tower_closure(i: int, k: int, peel: bool, primes: Iterable[int]) -> set[int]:
+    """The tower's degree set, by another kernel: the intersected subset-sum
+    closures of the factor degrees of s - z over F_p, s = 1 + x + ... + x^k,
+    divided by x + 1/z when ``peel``, for every primitive i-th root z mod
+    each p in ``primes``.  Samples that are not squarefree, or that x + 1/z
+    does not divide, are passed over.  Every closure holds 0 and the
+    sample's degree, so the scan returns once two elements are left.  The
+    roots come from brute-force orders and the factors from sympy's
+    galoistools."""
+    out = set(range(k + 1))
+    for p in primes:
+        for z in (z for z in range(2, p) if _has_order(z, i, p)):
+            f = [1] * k + [(1 - z) % p]  # descending coefficients
+            if peel:
+                f, r = gf_div(f, [1, pow(z, -1, p)], p, ZZ)
+                if r:
+                    continue
+            if not gf_sqf_p(f, p, ZZ):
+                continue
+            closure = {0}
+            for g in gf_factor_sqf(f, p, ZZ)[1]:
+                closure |= {c + len(g) - 1 for c in closure}
+            out &= closure
+            if len(out) == 2:
+                return out
+    return out
+
+
+def tower_report_holds(report: FactorReport) -> bool:
+    """A tower report on F_{i,k}, checked from its primes_used alone: an
+    irreducible F, or Phi_m times a cofactor of degree (k-1)*phi(i) when
+    the report peels, with the closure of ``tower_closure`` at {0, deg}."""
+    i, k, n = report.i, report.k, report.degree
+    peel = len(report.factor_degrees) == 2
+    shape = tuple(sorted((euler_phi(i), n - euler_phi(i)))) if peel else (n,)
+    deg = k - 1 if peel else k
+    return report.factor_degrees == shape and tower_closure(i, k, peel, report.primes_used) == {0, deg}

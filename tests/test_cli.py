@@ -93,8 +93,16 @@ def test_factor_conjecture_and_gen_caps_exit_one(
     ],
 )
 def test_file_errors_exit_one_with_one_line(
-    argv: str, message: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    argv: str, message: str, tmp_path: Path, monkeypatch: pytest.MonkeyPatch,
+    capsys: pytest.CaptureFixture[str],
 ) -> None:
+    def refuse(*args):
+        raise AssertionError("work started before --out was opened")
+
+    # the destination is opened before anything is computed
+    monkeypatch.setattr(cli, "decide", refuse)
+    monkeypatch.setattr(cli, "conjecture_verdict", refuse)
+    monkeypatch.setattr(cli, "gen_line_digraph_complete", refuse)
     (tmp_path / "file").write_text("")
     (tmp_path / "binary").write_bytes(b"\xff\xfe")  # not UTF-8
     paths = {"missing": tmp_path / "missing", "tmp": tmp_path,
@@ -273,13 +281,16 @@ def test_sweep_parallel_jobs_matches_serial(tmp_path: Path, capsys: pytest.Captu
     assert serial.read_text() == parallel.read_text()
 
 
-def test_jobs_below_one_exits_one(capsys: pytest.CaptureFixture[str]) -> None:
+def test_jobs_below_one_exits_one(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
     for jobs in ("0", "-3"):
         assert main(["conjecture", "--i", "3..4", "--k", "5..8", f"--jobs={jobs}"]) == 1
-        assert main(["sweep", "--d", "6..6", "--k", "5..6", f"--jobs={jobs}"]) == 1
+        assert main(["sweep", "--d", "6..6", "--k", "5..6", f"--jobs={jobs}", "--out", str(kept)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("--jobs must be at least 1") == 2
+    assert kept.read_text() == "kept\n"  # refused before the file is opened
 
 
 def test_jobs_start_at_most_one_worker_per_cell_and_cpu(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+from collections import defaultdict
 from itertools import islice
 
 import pytest
@@ -19,7 +21,7 @@ from amdigraph.factorization import (
     score_conjecture,
     split_index,
 )
-from oracles import primes_in
+from oracles import primes_in, tower_cells, tower_report_holds
 
 
 def _sympy_degrees(poly: IntPoly) -> list[int]:
@@ -217,10 +219,24 @@ def test_factor_over_Q_gates_squarefreeness_above_the_degree_cap(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     monkeypatch.setattr(factorization, "_DEGREE_CAP", 2)
+    calls = []
+
+    def spy(f, p, _original=_gf.gf_is_squarefree):
+        calls.append(p)
+        return _original(f, p)
+
+    monkeypatch.setattr(_gf, "gf_is_squarefree", spy)
     sq = poly_mul(poly_mul(IntPoly((-1, 1)), IntPoly((-1, 1))), IntPoly((2, 1)))
     with pytest.raises(NotSquarefree):
         factor_over_Q(sq)
+    assert calls == list(islice(prime_range_from(factorization._PRIME_FLOOR), 41))
+    calls.clear()
     assert factor_over_Q(IntPoly((-1, 0, 0, 1))) is None  # x^3 - 1, squarefree
+    assert calls == [101]
+    calls.clear()
+    # x^3 - 101 is x^3 mod 101, so its first image is at 103
+    assert factor_over_Q(IntPoly((-101, 0, 0, 1))) is None
+    assert calls == [101, 103]
 
 
 def test_certify_irreducible_stops_at_the_squarefree_gate(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -238,7 +254,7 @@ def test_certify_irreducible_stops_at_the_squarefree_gate(monkeypatch: pytest.Mo
     out = certify_irreducible(poly)
     assert (out.status, out.primes_used) == ("Unknown", ())
     assert out.degree_set == frozenset(range(poly.degree + 1))
-    assert 0 < len(calls) <= 41
+    assert calls == list(islice(prime_range_from(factorization._PRIME_FLOOR), 41))
 
 
 def test_factor_over_Q_agrees_with_sympy() -> None:
@@ -270,6 +286,21 @@ def test_factor_over_Q_roundtrip_on_monic_squarefree(p: IntPoly) -> None:
         prod = poly_mul(prod, g)
     assert prod == p
     assert sorted(g.degree for g in facs) == _sympy_degrees(p)
+
+
+def test_tower_agrees_with_a_foreign_kernel() -> None:
+    # a seeded sample, one cell per i and route, of the tower cells behind
+    # the d = 6..12 conjecture cells; CI checks every one of them
+    strata = defaultdict(list)
+    for i, k in tower_cells():
+        if 4 <= i <= 11:
+            report = conjecture_verdict(i, k).observed
+            strata[i, len(report.factor_degrees)].append(report)
+    assert sorted(strata) == [(i, shape) for i in range(4, 12) for shape in (1, 2)]
+    rng = random.Random(16)
+    for key in sorted(strata):
+        report = rng.choice(strata[key])
+        assert tower_report_holds(report), (report.i, report.k)
 
 
 def test_split_index_cases() -> None:
