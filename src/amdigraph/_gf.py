@@ -9,7 +9,10 @@ precomputes x^(n+j) mod f once (Shoup's precomputed-modulus arithmetic, as in
 NTL), so a modular product is one convolution plus one matrix product.  Both
 sum at most n products of two residues, so they stay exact in int64 while
 n*(p-1)**2 < 2**63: with p < 2**20 that holds for every n below 2**23.  The
-primes this package feeds in are a few hundred at most.
+primes this package feeds in are a few hundred at most.  A trinomial
+f = x^n + a*x + b needs no table: x^n = -a*x - b and x times the high half
+of a product has degree below n, so one fold, two shifted axpys, reduces
+it and adds at most 2*(p-1)**2 to a residue.
 
 Euclidean division, remainders and (extended) gcds pack each operand into
 one Python int, one 64-bit slot per coefficient, the leading coefficient in
@@ -222,8 +225,9 @@ def gf_is_squarefree(a: GFArray, p: int) -> bool:
 class PolyMod:
     """Arithmetic in F_p[x]/(f) with f monic.
 
-    Builds the reduction table (row j = x^(n+j) mod f, j < n-1) up front and
-    caches the Frobenius matrix on first use.
+    A trinomial f = x^n + a*x + b (n > 1) reduces by one fold; any other f
+    builds the reduction table (row j = x^(n+j) mod f, j < n-1) up front.
+    The Frobenius matrix is cached on first use.
     """
 
     def __init__(self, f: GFArray, p: int):
@@ -231,15 +235,15 @@ class PolyMod:
         self.f = gf_monic(np.asarray(f, dtype=np.int64), p)
         n = self.n = gf_degree(self.f)
         self._frob: GFArray | None = None
-        # a product of two residues has degree at most 2n-2
-        table = np.zeros((max(n - 1, 0), max(n, 0)), dtype=np.int64)
-        if n > 1:
+        self._table: GFArray | None = None
+        if n > 1 and self.f[2:n].any():
+            # a product of two residues has degree at most 2n-2
+            table = self._table = np.zeros((n - 1, n), dtype=np.int64)
             table[0] = (-self.f[:n]) % p
             for j in range(1, n - 1):
                 prev = table[j - 1]
                 table[j, 1:] = prev[:-1]
                 table[j] = (table[j] + prev[-1] * table[0]) % p
-        self._table = table
 
     def mul(self, a: GFArray, b: GFArray) -> GFArray:
         """a*b mod f, for a and b already reduced mod f."""
@@ -248,7 +252,13 @@ class PolyMod:
         c = np.convolve(a, b) % self.p
         n = self.n
         if len(c) > n:
-            c = (c[:n] + c[n:] @ self._table[: len(c) - n]) % self.p
+            hi = c[n:]
+            if self._table is None:  # x^n = -a*x - b, and x*hi has degree < n
+                c[: len(hi)] -= self.f[0] * hi
+                c[1 : len(hi) + 1] -= self.f[1] * hi
+            else:
+                c[:n] += hi @ self._table[: len(hi)]
+            c = c[:n] % self.p
         return gf_trim(c)
 
     def pow(self, a: GFArray, e: int) -> GFArray:
@@ -320,13 +330,14 @@ def gf_squarefree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
     return out
 
 
-def gf_distinct_degree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
+def gf_distinct_degree_list(f: GFArray, p: int, ctx: PolyMod | None = None) -> list[tuple[GFArray, int]]:
     """Distinct-degree split of squarefree monic f: list of (product, degree).
 
     Factors of degree j are returned multiplied together.  The iterates
-    h_j = x^(p^j) mod f come in blocks of 8: one gcd with the product of the
-    block's h_j - x takes every factor of a degree in the block out of the
-    remainder at once, and only that gcd g is split further, by
+    h_j = x^(p^j), taken in ``ctx`` modulo f or a multiple of f (every gcd
+    is with a divisor of f), come in blocks of 8: one gcd with the product
+    of the block's h_j - x takes every factor of a degree in the block out
+    of the remainder at once, and only that gcd g is split further, by
     gcd(g, h_j - x) in ascending j.  Early exit once the remainder must be
     irreducible.
 
@@ -336,10 +347,10 @@ def gf_distinct_degree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
     j only.  Either way g is appended as is and the split stops, which gives
     the list the gcds would have built.
     """
-    ctx = PolyMod(f, p)
+    remaining = gf_monic(f, p)
+    rem_deg = gf_degree(remaining)
+    ctx = ctx or PolyMod(remaining, p)
     out: list[tuple[GFArray, int]] = []
-    remaining = ctx.f
-    rem_deg = ctx.n
     x = gf_x()
     h = x
     j = 0

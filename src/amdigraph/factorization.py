@@ -31,7 +31,9 @@ users:
   the residue of zeta at one of the phi(i) primes above p, so the factor
   degrees of s - zbar over F_p are a sound sample for degree-set
   certification of s - zeta at degree k instead of degree phi(i)*k.  This is
-  what makes the k <= 200 sweeps cheap.
+  what makes the k <= 200 sweeps cheap.  Each sample's DDF runs modulo the
+  trinomial (x - 1)(s - zbar), which PolyMod reduces by a fold, and Phi_m | F
+  is decided mod Phi_m, so F is built only for a peeled cell's cofactor.
 """
 from __future__ import annotations
 
@@ -73,6 +75,7 @@ _PRIME_FLOOR = 101
 _PRIME_BUDGET = 24
 _DEGREE_CAP = 1600
 _CACHE_SIZE = 128  # entries in each of the _scan and _factor_over_Q caches
+_Image = tuple[_gf.GFArray, _gf.PolyMod | None]  # f mod p, and a PolyMod for its DDF
 
 
 class NoUsablePrime(ValueError):
@@ -164,15 +167,15 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(d for d in range(mask.bit_length()) if mask >> d & 1)
 
 
-def _ddf_degrees(f: _gf.GFArray, p: int) -> list[int]:
+def _ddf_degrees(f: _gf.GFArray, p: int, ctx: _gf.PolyMod | None) -> list[int]:
     """Degrees, with multiplicity, of the irreducible factors of squarefree f
-    mod p; their number is the number of mod-p factors."""
-    return [d for prod, d in _gf.gf_distinct_degree_list(f, p) for _ in range(_gf.gf_degree(prod) // d)]
+    mod p, DDF in ctx; their number is the number of mod-p factors."""
+    return [d for prod, d in _gf.gf_distinct_degree_list(f, p, ctx) for _ in range(_gf.gf_degree(prod) // d)]
 
 
-def _reductions(poly: IntPoly, primes: Iterable[int]) -> Iterator[tuple[int, list[_gf.GFArray]]]:
-    """(p, [poly mod p]) for each prime, or (p, []) when the reduction drops
-    degree or is not squarefree.
+def _reductions(poly: IntPoly, primes: Iterable[int]) -> Iterator[tuple[int, list[_Image]]]:
+    """(p, [(poly mod p, None)]) for each prime, or (p, []) when the
+    reduction drops degree or is not squarefree.
 
     The squarefree gate: one squarefree image among the first 41 pairs
     proves poly squarefree.  Without one, the exact gcd(poly, poly') is
@@ -181,7 +184,7 @@ def _reductions(poly: IntPoly, primes: Iterable[int]) -> Iterator[tuple[int, lis
     seen = False
     for count, p in enumerate(primes, 1):
         f = None if poly.lead % p == 0 else _gf.gf_from_coeffs(poly.coeffs, p)
-        images = [] if f is None or not _gf.gf_is_squarefree(f, p) else [f]
+        images = [] if f is None or not _gf.gf_is_squarefree(f, p) else [(f, None)]
         seen = seen or bool(images)
         if count == 41 and not seen and not _rational_gcd_is_constant(poly, poly.derivative()):
             raise NotSquarefree("polynomial shares a factor with its derivative")
@@ -189,7 +192,7 @@ def _reductions(poly: IntPoly, primes: Iterable[int]) -> Iterator[tuple[int, lis
 
 
 def _intersect(
-    n: int, samples: Iterable[tuple[int, Iterable[_gf.GFArray]]]
+    n: int, samples: Iterable[tuple[int, Iterable[_Image]]]
 ) -> tuple[int, dict[int, int]]:
     """The degree-set engine: AND the closure masks of the squarefree
     degree-n images in ``samples`` into one mask of possible factor degrees.
@@ -203,8 +206,8 @@ def _intersect(
     mask = (1 << (n + 1)) - 1
     counts: dict[int, int] = {}
     for p, images in islice(samples, 64 * _PRIME_BUDGET):
-        for f in images:
-            degs = _ddf_degrees(f, p)
+        for f, ctx in images:
+            degs = _ddf_degrees(f, p, ctx)
             counts.setdefault(p, len(degs))
             mask &= _closure_mask(degs)
             if mask == target:
@@ -440,7 +443,7 @@ def factor_over_Q(poly: IntPoly) -> list[IntPoly] | None:
 def split_index(i: int) -> int:
     """Order m of -1/zeta_i: the peeled factor of a reducible F_{i,k} is
     Phi_m, and reducibility happens exactly when m | k+2 (observed pattern;
-    the division below never assumes it)."""
+    ``_split_divides`` never assumes it: it decides Phi_m | F exactly)."""
     if i % 2 == 1:
         return 2 * i
     if i % 4 == 2:
@@ -482,11 +485,14 @@ def _certify_tower(i: int, k: int, peel: bool) -> tuple[bool, tuple[int, ...]]:
     of primes used."""
     deg = k - 1 if peel else k
 
-    def samples(p: int) -> Iterator[_gf.GFArray]:
+    def samples(p: int) -> Iterator[_Image]:
         for zbar in _primitive_ith_roots(i, p):
             f = _chain_minus_root(k, zbar, p, peel)
             if f is not None and _gf.gf_is_squarefree(f, p):
-                yield f
+                # f divides T = (x - 1)(s - zbar) = x^(k+1) - zbar*x + zbar - 1
+                T = np.zeros(k + 2, dtype=np.int64)
+                T[0], T[1], T[k + 1] = (zbar - 1) % p, -zbar % p, 1
+                yield f, _gf.PolyMod(T, p)
 
     primes = (p for p in prime_range_from(_PRIME_FLOOR) if (p - 1) % i == 0)
     mask, counts = _intersect(deg, ((p, samples(p)) for p in primes))
@@ -500,24 +506,35 @@ def _certify_tower(i: int, k: int, peel: bool) -> tuple[bool, tuple[int, ...]]:
 _FULL_FACTOR_DEGREE = 48  # below this, go straight to factor_over_Q
 
 
+def _split_divides(i: int, k: int) -> bool:
+    """Whether Phi_m, m = split_index(i) > 1, divides F_{i,k}: Phi_i(s) by
+    Horner in Z[x]/(Phi_m), where x^m = 1 and 1 + x + ... + x^(m-1) = 0, so
+    s = 1 + x + ... + x^k is 1 + x + ... + x^(r-1), r = (k+1) mod m."""
+    m = split_index(i)
+    phi_m = cyclotomic(m)
+    s = IntPoly((1,) * ((k + 1) % m))
+    acc = IntPoly.zero()
+    for c in reversed(cyclotomic(i).coeffs):
+        acc = poly_divmod(poly_mul(acc, s) + IntPoly.constant(c), phi_m)[1]
+    return acc.is_zero
+
+
 def _observe(i: int, k: int) -> FactorReport:
     """Factor F_{i,k} outright up to _FULL_FACTOR_DEGREE, else by the tower,
     peeled of Phi_m when Phi_m divides F.  A tower that does not certify
     leaves the report Unresolved: no factor degrees and no factors."""
-    F = build_F(i, k)
-    n = F.degree
+    n = cyclotomic(i).degree * k
     if n <= _FULL_FACTOR_DEGREE:
-        factors, primes = _factor_over_Q(F)
+        factors, primes = _factor_over_Q(build_F(i, k))
         assert factors is not None
         return FactorReport(i, k, n, tuple(sorted(g.degree for g in factors)), primes, factors)
 
-    phi_m = cyclotomic(split_index(i))
-    cofactor, rem = poly_divmod(F, phi_m)  # Phi_m is monic
-    if not rem.is_zero:
+    if not _split_divides(i, k):
         ok, primes = _certify_tower(i, k, peel=False)
         return FactorReport(i, k, n, (n,) if ok else (), primes)
     ok, primes = _certify_tower(i, k, peel=True)
-    factors = (phi_m, cofactor) if ok else ()
+    phi_m = cyclotomic(split_index(i))
+    factors = (phi_m, poly_divmod(build_F(i, k), phi_m)[0]) if ok else ()  # Phi_m is monic
     return FactorReport(i, k, n, tuple(sorted(g.degree for g in factors)), primes, factors)
 
 

@@ -13,14 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from amdigraph.algebra import IntPoly, euler_phi, poly_mul
+from amdigraph.algebra import IntPoly, euler_phi, poly_divmod, poly_mul
 from amdigraph.cli import main, parse_certificate, serialize_certificate
-from amdigraph.cyclotomic import build_F, ramanujan_sum
+from amdigraph.cyclotomic import build_F, cyclotomic, ramanujan_sum
 from amdigraph.digraphs import gen_line_digraph_complete, run_battery
 from amdigraph.factorization import (
+    _certify_tower,
     certify_irreducible,
     conjecture_verdict,
     factor_over_Q,
+    split_index,
 )
 from amdigraph.sieve import (
     build_trace_system,
@@ -193,7 +195,7 @@ def test_criterion_5_oracle_battery() -> None:
 
 def test_criterion_6_factorization_cross_check() -> None:
     problems: list[str] = []
-    cells = 0
+    cells = towers = 0
     for i in range(2, 200):
         if euler_phi(i) > 24:
             continue
@@ -214,10 +216,23 @@ def test_criterion_6_factorization_cross_check() -> None:
             cert = certify_irreducible(F)
             if (len(facs) == 1) != cert.is_irreducible:
                 problems.append(f"({i},{k}) {len(facs)} factors vs {cert.status}")
+            if i < 3:
+                continue
+            # the tower's soundness at small degree: where it certifies, F
+            # is irreducible, or Phi_m times an irreducible cofactor
+            phi_m = cyclotomic(split_index(i))
+            cofactor, rem = poly_divmod(F, phi_m)
+            peel = rem.is_zero
+            if _certify_tower(i, k, peel)[0]:
+                towers += 1
+                shape = sorted([phi_m, cofactor], key=lambda g: (g.degree, g.coeffs)) if peel else [F]
+                if facs != shape:
+                    problems.append(f"({i},{k}) tower certified, {len(facs)} factors")
     _report(
         6,
         problems,
-        f"{cells} cells with phi(i)*k <= 48: single factor iff Irreducible, exact products",
+        f"{cells} cells with phi(i)*k <= 48: single factor iff Irreducible, exact products;"
+        f" {towers} tower certificates confirmed",
     )
 
 

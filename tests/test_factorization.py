@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amdigraph import _gf, factorization
-from amdigraph.algebra import IntPoly, euler_phi, poly_mul, prime_range_from
+from amdigraph.algebra import IntPoly, euler_phi, poly_divmod, poly_mul, prime_range_from
 from amdigraph.cyclotomic import build_F, cyclotomic
 from amdigraph.factorization import (
     NoUsablePrime,
@@ -301,6 +301,59 @@ def test_tower_agrees_with_a_foreign_kernel() -> None:
     for key in sorted(strata):
         report = rng.choice(strata[key])
         assert tower_report_holds(report), (report.i, report.k)
+
+
+def test_tower_agrees_with_full_factoring() -> None:
+    # the Hensel route: a seeded sample, one cell per i = 3..10 and route, of
+    # the tower cells of degree <= 120; factoring F outright gives the
+    # tower's factor degrees and, where it peels, the same two factors
+    strata = defaultdict(list)
+    for i, k in tower_cells():
+        if i <= 10 and euler_phi(i) * k <= 120:
+            report = conjecture_verdict(i, k).observed
+            strata[i, len(report.factor_degrees)].append(report)
+    assert sorted(strata) == [(i, shape) for i in range(3, 11) for shape in (1, 2)]
+    rng = random.Random(17)
+    for key in sorted(strata):
+        report = rng.choice(strata[key])
+        factors, _ = factorization._factor_over_Q(build_F(report.i, report.k))
+        assert tuple(g.degree for g in factors) == report.factor_degrees, key
+        assert not report.factors or set(factors) == set(report.factors), key
+
+
+@pytest.mark.parametrize("i", range(3, 31))
+def test_split_divides_agrees_with_dividing_F(i: int) -> None:
+    # two full periods of (k + 1) mod m: the residue rule against Phi_m
+    # dividing the whole F_{i,k}
+    m = split_index(i)
+    for k in range(1, 2 * m + 1):
+        divides = poly_divmod(build_F(i, k), cyclotomic(m))[1].is_zero
+        assert factorization._split_divides(i, k) == divides, k
+
+
+@pytest.mark.parametrize("i, k, builds", [(5, 14, 0), (5, 18, 1)])
+def test_tower_builds_F_only_for_the_cofactor(
+    i: int, k: int, builds: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # an unpeeled tower cell builds neither F nor a PolyMod reduction table;
+    # a peeled one builds F once, to divide out Phi_m
+    built, tables = [], []
+    build, init = factorization.build_F, _gf.PolyMod.__init__
+
+    def spy_build(i, k):
+        built.append((i, k))
+        return build(i, k)
+
+    def spy_init(self, f, p):
+        init(self, f, p)
+        tables.append(self._table is not None)
+
+    monkeypatch.setattr(factorization, "build_F", spy_build)
+    monkeypatch.setattr(_gf.PolyMod, "__init__", spy_init)
+    observed = conjecture_verdict.__wrapped__(i, k).observed  # past the cache
+    assert len(observed.factor_degrees) == builds + 1
+    assert len(built) == builds
+    assert tables and not any(tables)
 
 
 def test_split_index_cases() -> None:

@@ -6,12 +6,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_gcd as sympy_gcd, gf_gcdex, gf_irreducible_p
 
 from amdigraph import _gf
+from amdigraph.factorization import _chain_minus_root, _primitive_ith_roots
 
 PRIMES = (2, 3, 101, 997)
 
@@ -132,9 +133,13 @@ def poly(draw, p: int, max_len: int, monic_degree: int | None = None) -> list[in
 
 @st.composite
 def modulus_and_residues(draw):
+    """A dense monic modulus, or a trinomial x^n + a*x + b, which PolyMod
+    reduces by a fold instead of a table."""
     p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(1, 120))
     f = draw(poly(p, n, monic_degree=n))
+    if n > 1 and draw(st.booleans()):
+        f = f[:2] + [0] * (n - 2) + [1]
     a = draw(poly(p, n))
     b = draw(poly(p, n))
     return p, f, a, b
@@ -186,6 +191,9 @@ def squarefree_with_close_degrees(draw):
 
 
 @given(modulus_and_residues())
+@example((101, [0, 7] + [0] * 118 + [1], [100] * 120, [100] * 120))  # b = 0
+@example((101, [7, 0] + [0] * 118 + [1], [100] * 120, [100] * 120))  # a = 0
+@example((997, [0, 0, 1], [5, 996], [3, 1]))  # x^2
 @settings(max_examples=80, deadline=None)
 def test_polymod_mul_matches_schoolbook(case) -> None:
     p, f, a, b = case
@@ -297,21 +305,57 @@ def test_distinct_degree_list_split_shortcuts(p: int, degrees: tuple[int, ...]) 
     assert [d for g, d in got for _ in range(len(g) // d)] == list(degrees)
 
 
+@pytest.mark.parametrize(
+    "i, k, peel, primes, double_root",
+    [
+        (5, 14, False, (101, 131), False),
+        (7, 9, False, (113, 127), False),
+        (5, 18, True, (101, 131), False),
+        # zbar = 15 = k + 1 at p = 113, so (x - 1)**2 divides T
+        (4, 14, False, (113,), True),
+        (4, 14, True, (113,), True),
+    ],
+)
+def test_distinct_degree_list_in_a_multiple_of_f(
+    i: int, k: int, peel: bool, primes: tuple[int, ...], double_root: bool
+) -> None:
+    # tower samples f = s - zbar, s = 1 + x + ... + x^k, or f = (s - zbar) /
+    # (x + 1/zbar) when peeled, with the Frobenius iterates taken modulo the
+    # trinomial T = (x - 1)(s - zbar) = x^(k+1) - zbar*x + (zbar - 1)
+    seen = []
+    for p in primes:
+        for zbar in _primitive_ith_roots(i, p):
+            f = _chain_minus_root(k, zbar, p, peel)
+            if f is None or not ref_squarefree(lst(f), p):
+                continue
+            seen.append((k + 1 - zbar) % p)
+            T = [(zbar - 1) % p, -zbar % p] + [0] * (k - 1) + [1]
+            assert ref_divmod(T, lst(f), p)[1] == []
+            got = _gf.gf_distinct_degree_list(f, p, _gf.PolyMod(arr(T), p))
+            assert [(lst(g), d) for g, d in got] == ref_ddf(lst(f), p)
+    assert seen and (0 in seen) == double_root  # T'(1) = k + 1 - zbar
+
+
 def test_int64_edge_largest_prime_degree_300() -> None:
-    # n * (p - 1)**2 < 2**63 bounds every convolution and table-matmul sum;
-    # the largest prime the kernel accepts at n = 300 stays far inside it
+    # n * (p - 1)**2 < 2**63 bounds every convolution and table-matmul sum,
+    # and a trinomial's fold adds at most 2 * (p - 1)**2 to a residue; the
+    # largest prime the kernel accepts stays far inside both, for a dense f
+    # of degree 300 and for x^301 + a*x + b with a, b in {0, p - 1}
     p = 1048573  # largest prime below 2**20
     assert p < _gf._MAX_P
     rng = random.Random(300)
-    n = 300
-    f = [rng.randrange(p) for _ in range(n)] + [1]
-    a = _trim([rng.randrange(p) for _ in range(n)])
-    b = _trim([rng.randrange(p) for _ in range(n)])
-    ctx = _gf.PolyMod(arr(f), p)
-    assert lst(ctx.mul(arr(a), arr(b))) == ref_divmod(ref_mul(a, b, p), f, p)[1]
-    a_to_p = ref_powmod(a, p, f, p)
-    assert lst(ctx.pow(arr(a), p)) == a_to_p
-    assert lst(ctx.frobenius(arr(a))) == a_to_p
+    dense = [rng.randrange(p) for _ in range(300)] + [1]
+    trinomials = [[b, a] + [0] * 299 + [1] for b, a in ((p - 1, p - 1), (p - 1, 0), (0, p - 1))]
+    for f in [dense, *trinomials]:
+        n = len(f) - 1
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        b = _trim([rng.randrange(p) for _ in range(n)])
+        ctx = _gf.PolyMod(arr(f), p)
+        assert (ctx._table is None) == (f is not dense)  # the fold serves trinomials
+        assert lst(ctx.mul(arr(a), arr(b))) == ref_divmod(ref_mul(a, b, p), f, p)[1]
+        a_to_p = ref_powmod(a, p, f, p)
+        assert lst(ctx.pow(arr(a), p)) == a_to_p
+        assert lst(ctx.frobenius(arr(a))) == a_to_p
 
 
 @pytest.mark.parametrize("shape", ["planted degree-75 factor", "degree 300 by degree 2"])
