@@ -36,7 +36,11 @@ The distinct-degree routine uses the Frobenius matrix (rows x^{p*j} mod f) so
 repeated Frobenius steps are matrix-vector products, with gcd extraction
 batched in blocks and each block's product split on its own (von zur Gathen
 & Gerhard, Modern Computer Algebra, ch. 14); this is what makes desk-scale
-certification sweeps cheap.
+certification sweeps cheap.  The first step needs no matrix: x^p mod f is
+kept on its own, as row 1.  A caller that asks only about factor degrees up
+to some u bounds the routine there: it stops after the iterate x^(p^u) and
+returns the unsplit rest, every factor of degree above u, as one entry, so
+a bound of 1 builds no matrix at all.
 """
 from __future__ import annotations
 
@@ -227,13 +231,14 @@ class PolyMod:
 
     A trinomial f = x^n + a*x + b (n > 1) reduces by one fold; any other f
     builds the reduction table (row j = x^(n+j) mod f, j < n-1) up front.
-    The Frobenius matrix is cached on first use.
+    x^p mod f and the Frobenius matrix are cached on first use.
     """
 
     def __init__(self, f: GFArray, p: int):
         self.p = p
         self.f = gf_monic(np.asarray(f, dtype=np.int64), p)
         n = self.n = gf_degree(self.f)
+        self._xp: GFArray | None = None
         self._frob: GFArray | None = None
         self._table: GFArray | None = None
         if n > 1 and self.f[2:n].any():
@@ -271,14 +276,20 @@ class PolyMod:
             e >>= 1
         return r
 
+    def x_to_p(self) -> GFArray:
+        """x^p mod f, the first Frobenius iterate of x and row 1 of the matrix."""
+        if self._xp is None:
+            self._xp = self.pow(gf_x(), self.p)
+        return self._xp
+
     def frobenius_matrix(self) -> GFArray:
         """Rows j = x^{p*j} mod f, j in [0, n)."""
         if self._frob is None:
-            n, p = self.n, self.p
+            n = self.n
             Q = np.zeros((n, n), dtype=np.int64)
             Q[0, 0] = 1
             if n > 1:
-                xp = self.pow(gf_x(), p)
+                xp = self.x_to_p()
                 cur = xp
                 Q[1, : len(cur)] = cur
                 for j in range(2, n):
@@ -330,7 +341,9 @@ def gf_squarefree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
     return out
 
 
-def gf_distinct_degree_list(f: GFArray, p: int, ctx: PolyMod | None = None) -> list[tuple[GFArray, int]]:
+def gf_distinct_degree_list(
+    f: GFArray, p: int, ctx: PolyMod | None = None, upto: int | None = None
+) -> list[tuple[GFArray, int]]:
     """Distinct-degree split of squarefree monic f: list of (product, degree).
 
     Factors of degree j are returned multiplied together.  The iterates
@@ -339,7 +352,13 @@ def gf_distinct_degree_list(f: GFArray, p: int, ctx: PolyMod | None = None) -> l
     of the block's h_j - x takes every factor of a degree in the block out
     of the remainder at once, and only that gcd g is split further, by
     gcd(g, h_j - x) in ascending j.  Early exit once the remainder must be
-    irreducible.
+    irreducible.  h_1 = x^p comes from ``ctx.x_to_p``, not the matrix.
+
+    With ``upto`` = u the last block closes at j = u, and the remainder,
+    the product of every factor of degree above u, is appended whole with
+    its own degree, as an irreducible leftover is: entries of degree at most
+    u are exactly those of the unbounded split.  u = 1 builds no Frobenius
+    matrix.
 
     Splitting g at jj, every factor left in g has degree in [jj, j], j the
     block's last iterate, so two cases need no gcd: deg g < 2*jj leaves one
@@ -355,11 +374,12 @@ def gf_distinct_degree_list(f: GFArray, p: int, ctx: PolyMod | None = None) -> l
     h = x
     j = 0
     block = 8
-    while rem_deg >= 2 * (j + 1):
+    last = rem_deg if upto is None else upto
+    while j < last and rem_deg >= 2 * (j + 1):
         iterates: list[tuple[int, GFArray]] = []  # (j, h_j - x)
-        while len(iterates) < block and rem_deg >= 2 * (j + 1):
+        while len(iterates) < block and j < last and rem_deg >= 2 * (j + 1):
             j += 1
-            h = ctx.frobenius(h)
+            h = ctx.frobenius(h) if j > 1 else ctx.x_to_p()
             iterates.append((j, gf_sub(h, x, p)))
         acc = gf_one()
         for _, hx in iterates:

@@ -6,7 +6,12 @@ closures of the images' factor-degree multisets, and stops at {0, deg}
 (irreducible), after 24 contributing primes (``_PRIME_BUDGET``), or after
 64 * 24 primes scanned; it also counts the mod-p factors at each
 contributing prime.  Never a false positive: every true rational factor
-degree survives in each closure.
+degree survives in each closure.  Each image's DDF asks only about the
+factor degrees the mask still allows: it stops at the mask's highest open
+degree u <= deg/2 and lists the rest as one part, which leaves the mask
+exactly as full DDFs would (the proof is in ``_intersect``).  Only counts
+that are read run in full: those of the first five usable primes, which
+choose the Hensel prime.
 
 The scan from _PRIME_FLOOR and the rational factorization are memoised per
 sign-normalised polynomial in bounded caches (``_CACHE_SIZE`` entries each),
@@ -73,6 +78,7 @@ __all__ = [
 # Small primes show disproportionately many spurious splits.
 _PRIME_FLOOR = 101
 _PRIME_BUDGET = 24
+_HENSEL_CHOICES = 5  # usable primes whose factor counts choose the Hensel prime
 _DEGREE_CAP = 1600
 _CACHE_SIZE = 128  # entries in each of the _scan and _factor_over_Q caches
 _Image = tuple[_gf.GFArray, _gf.PolyMod | None]  # f mod p, and a PolyMod for its DDF
@@ -167,10 +173,22 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(d for d in range(mask.bit_length()) if mask >> d & 1)
 
 
-def _ddf_degrees(f: _gf.GFArray, p: int, ctx: _gf.PolyMod | None) -> list[int]:
+def _ddf_degrees(f: _gf.GFArray, p: int, ctx: _gf.PolyMod | None, upto: int | None = None) -> list[int]:
     """Degrees, with multiplicity, of the irreducible factors of squarefree f
-    mod p, DDF in ctx; their number is the number of mod-p factors."""
-    return [d for prod, d in _gf.gf_distinct_degree_list(f, p, ctx) for _ in range(_gf.gf_degree(prod) // d)]
+    mod p, DDF in ctx; their number is the number of mod-p factors.  With
+    ``upto`` = u, the factors of degree above u count as one part, their
+    product."""
+    return [
+        d
+        for prod, d in _gf.gf_distinct_degree_list(f, p, ctx, upto=upto)
+        for _ in range(_gf.gf_degree(prod) // d)
+    ]
+
+
+def _open_bound(mask: int, n: int) -> int:
+    """u: the highest factor degree in [1, n // 2] that mask still allows,
+    or 0 when it allows none."""
+    return max((mask & ((1 << (n // 2 + 1)) - 2)).bit_length() - 1, 0)
 
 
 def _reductions(poly: IntPoly, primes: Iterable[int]) -> Iterator[tuple[int, list[_Image]]]:
@@ -192,7 +210,7 @@ def _reductions(poly: IntPoly, primes: Iterable[int]) -> Iterator[tuple[int, lis
 
 
 def _intersect(
-    n: int, samples: Iterable[tuple[int, Iterable[_Image]]]
+    n: int, samples: Iterable[tuple[int, Iterable[_Image]]], exact: int = 0
 ) -> tuple[int, dict[int, int]]:
     """The degree-set engine: AND the closure masks of the squarefree
     degree-n images in ``samples`` into one mask of possible factor degrees.
@@ -201,13 +219,28 @@ def _intersect(
     {0, n}.  Otherwise it stops after _PRIME_BUDGET primes with an image, or
     after 64 * _PRIME_BUDGET primes scanned; the cap is applied before a
     prime's images are generated.  Returns the mask and, in scan order, the
-    number of mod-p factors of the first image at each prime that had one."""
+    number of mod-p factors of the first image at each prime that had one.
+
+    Each image's DDF stops at u = ``_open_bound(mask, n)``, the highest
+    mask bit in [1, n // 2], and lists the factors of degree above u as one
+    part, their product, except at the first ``exact`` primes with an image,
+    whose counts are then exact; later counts are lower bounds.  The mask is
+    the one full DDFs would give: mask & closure(D) = mask & closure(D'), D
+    the factor degrees and D' those <= u plus the sum of the rest:
+    * the mask and every closure are symmetric (b <-> n - b), since the
+      parts outside a sub-multiset of sum b sum to n - b;
+    * closure(D') <= closure(D), as each part of D' is a sum of parts of D;
+    * a mask bit b <= n/2 in closure(D) is a sum of factor degrees <= b <= u,
+      all of which D' keeps, so b is in closure(D'); a mask bit b > n/2 has
+      n - b in the mask too, so n - b, and by symmetry b, is in closure(D').
+    """
     target = 1 | (1 << n)
     mask = (1 << (n + 1)) - 1
     counts: dict[int, int] = {}
     for p, images in islice(samples, 64 * _PRIME_BUDGET):
         for f, ctx in images:
-            degs = _ddf_degrees(f, p, ctx)
+            upto = None if len(counts) < exact else _open_bound(mask, n)
+            degs = _ddf_degrees(f, p, ctx, upto)
             counts.setdefault(p, len(degs))
             mask &= _closure_mask(degs)
             if mask == target:
@@ -221,10 +254,12 @@ def _intersect(
 def _scan(f: IntPoly) -> tuple[int, tuple[tuple[int, int], ...]]:
     """``_intersect`` over the reductions of f at the primes from
     _PRIME_FLOOR up: the mask and the (prime, factor count) pairs in scan
-    order.  NotSquarefree, from the gate in ``_reductions``, when f has a
-    repeated factor.  Negating f changes no mod-p degree, so callers pass f
-    with a positive leading coefficient and share one entry."""
-    mask, counts = _intersect(f.degree, _reductions(f, prime_range_from(_PRIME_FLOOR)))
+    order, exact at the first _HENSEL_CHOICES primes, which choose the
+    Hensel prime.  NotSquarefree, from the gate in ``_reductions``, when f
+    has a repeated factor.  Negating f changes no mod-p degree, so callers
+    pass f with a positive leading coefficient and share one entry."""
+    primes = prime_range_from(_PRIME_FLOOR)
+    mask, counts = _intersect(f.degree, _reductions(f, primes), _HENSEL_CHOICES)
     return mask, tuple(counts.items())
 
 
@@ -367,8 +402,9 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...] | None, tuple[int, .
         return (f,), primes_used
 
     # Hensel prime: the first with the fewest mod-p factors among the first
-    # five usable primes; at least two, as one factor ends the scan at {0, n}
-    hensel_p = min(counts[:5], key=lambda pc: pc[1])[0]
+    # five usable primes, whose counts the scan keeps exact; at least two,
+    # as one factor ends the scan at {0, n}
+    hensel_p = min(counts[:_HENSEL_CHOICES], key=lambda pc: pc[1])[0]
     mod_facs = _gf.gf_factor(_gf.gf_from_coeffs(f.coeffs, hensel_p), hensel_p)
 
     # lift modulus: beyond twice the factor-coefficient bound (Mignotte)
@@ -482,7 +518,8 @@ def _certify_tower(i: int, k: int, peel: bool) -> tuple[bool, tuple[int, ...]]:
     Each prime's samples are the images s - zbar, one per primitive i-th
     root zbar, computed lazily: once the mask reaches {0, deg} the remaining
     roots are skipped, and the prime, which has contributed, ends the list
-    of primes used."""
+    of primes used.  No factor count is read, so every sample's DDF stops
+    at the mask's highest open degree."""
     deg = k - 1 if peel else k
 
     def samples(p: int) -> Iterator[_Image]:

@@ -91,6 +91,67 @@ def test_degree_set_matches_every_prime_reference(
         assert factorization._mask_to_set(mask) == expected
 
 
+def _parts(n: int, cuts: set[int]) -> list[int]:
+    # the composition of n cut at the points of cuts inside (0, n)
+    ends = [0, *sorted(c for c in cuts if 0 < c < n), n]
+    return [b - a for a, b in zip(ends, ends[1:])]
+
+
+@given(
+    st.integers(1, 40),
+    st.sets(st.integers(1, 39)),
+    st.lists(st.sets(st.integers(1, 39)), max_size=4),
+)
+@example(6, {3}, [{3}])  # mask {0, 3, 6} and degrees 3 + 3: u = 3; at u = 2 bit 3 goes
+@settings(max_examples=300, deadline=None)
+def test_bounded_degrees_keep_the_mask(n: int, cuts: set[int], mask_cuts: list[set[int]]) -> None:
+    # a mask of ANDed closures loses nothing when the factors of degree above
+    # its highest open degree u <= n/2 count as one part
+    closure = factorization._closure_mask
+    degrees = _parts(n, cuts)
+    mask = (1 << (n + 1)) - 1
+    for c in mask_cuts:
+        mask &= closure(_parts(n, c))
+    u = factorization._open_bound(mask, n)
+    assert u == max([b for b in range(1, n // 2 + 1) if mask >> b & 1], default=0)
+    rest = sum(d for d in degrees if d > u)
+    bounded = [d for d in degrees if d <= u] + ([rest] if rest else [])
+    assert mask & closure(degrees) == mask & closure(bounded)
+
+
+@pytest.mark.parametrize("i, k", [(5, 8), (3, 4)])
+def test_scan_counts_are_exact_where_the_hensel_prime_is_chosen(i: int, k: int) -> None:
+    # the first five counts choose the Hensel prime and come from full DDFs;
+    # later ones count the factors above the bound as one part
+    F = build_F(i, k)
+    _, counts = factorization._scan(F)
+    assert len(counts) > factorization._HENSEL_CHOICES
+    for n, (p, count) in enumerate(counts):
+        full = len(_gf.gf_factor(_gf.gf_from_coeffs(F.coeffs, p), p))
+        assert count == full if n < factorization._HENSEL_CHOICES else count <= full
+
+
+def test_certify_tower_is_unchanged_by_the_bound(monkeypatch: pytest.MonkeyPatch) -> None:
+    # a seeded sample of cells i = 3..14, k <= 100, on the route _observe
+    # takes: the tower with every DDF bounded and with none gives the same
+    # verdict at the same primes
+    rng = random.Random(18)
+    cells = []
+    for i in range(3, 15):
+        for peel in (False, True):
+            ks = [
+                k
+                for k in range(5, 101)
+                if euler_phi(i) * k > factorization._FULL_FACTOR_DEGREE
+                and factorization._split_divides(i, k) == peel
+            ]
+            cells.append((i, rng.choice(ks), peel))
+    bounded = [factorization._certify_tower(i, k, peel) for i, k, peel in cells]
+    monkeypatch.setattr(factorization, "_open_bound", lambda mask, n: None)
+    assert [factorization._certify_tower(i, k, peel) for i, k, peel in cells] == bounded
+    assert all(ok for ok, _ in bounded)
+
+
 def test_certify_irreducible_known_cells() -> None:
     out = certify_irreducible(build_F(2, 5))
     assert out.is_irreducible

@@ -336,6 +336,35 @@ def test_distinct_degree_list_in_a_multiple_of_f(
     assert seen and (0 in seen) == double_root  # T'(1) = k + 1 - zbar
 
 
+@given(st.sampled_from(PRIMES), st.integers(2, 60), st.data())
+@settings(max_examples=30, deadline=None)
+def test_bounded_distinct_degree_list_matches_reference(p: int, n: int, data) -> None:
+    # bounded at upto, the split lists the reference's entries of degree <=
+    # upto as they are, then the product of every factor above upto as one
+    f = data.draw(poly(p, n, monic_degree=n))
+    assume(ref_squarefree(f, p))
+    upto = data.draw(st.integers(1, n // 2))
+    got = [(lst(g), d) for g, d in _gf.gf_distinct_degree_list(arr(f), p, upto=upto)]
+    ref = ref_ddf(f, p)
+    rest = functools.reduce(lambda a, b: ref_mul(a, b, p), [g for g, d in ref if d > upto], [1])
+    last = [(rest, len(rest) - 1)] if len(rest) > 1 else []
+    assert got == [(g, d) for g, d in ref if d <= upto] + last
+
+
+def test_distinct_degree_list_bounded_at_one_builds_no_frobenius_matrix() -> None:
+    # x^p is row 1 of the matrix, kept on its own: the first iterate needs no
+    # matrix, and a split bounded at 1 takes no other
+    p = 101
+    linear = ref_mul([7, 1], [5, 1], p)
+    rest = ref_mul(_irreducibles(2, p)[0], _irreducibles(3, p)[0], p)
+    f = ref_mul(linear, rest, p)
+    ctx = _gf.PolyMod(arr(f), p)
+    got = _gf.gf_distinct_degree_list(arr(f), p, ctx, upto=1)
+    assert [(lst(g), d) for g, d in got] == [(linear, 1), (rest, 5)]
+    assert ctx._frob is None
+    assert lst(ctx.x_to_p()) == lst(_gf.gf_trim(ctx.frobenius_matrix()[1]))
+
+
 def test_int64_edge_largest_prime_degree_300() -> None:
     # n * (p - 1)**2 < 2**63 bounds every convolution and table-matmul sum,
     # and a trinomial's fold adds at most 2 * (p - 1)**2 to a residue; the
