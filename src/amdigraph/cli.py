@@ -325,6 +325,8 @@ def _cmd_oracle(args) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    if g.n > MAX_D * (MAX_D + 1):  # verify_moore takes k dense n x n products
+        raise _UsageError(f"{g.n} vertices, above the largest oracle gen instance ({MAX_D * (MAX_D + 1)})")
 
     if args.oracle_cmd == "check":
         try:

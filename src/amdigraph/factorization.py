@@ -4,14 +4,10 @@ One degree-set engine, ``_intersect``, serves every certificate here.  It
 reads a stream of (prime, mod-p images), ANDs together the subset-sum
 closures of the images' factor-degree multisets, and stops at {0, deg}
 (irreducible), after 24 contributing primes (``_PRIME_BUDGET``), or after
-64 * 24 primes scanned; it also counts the mod-p factors at each
-contributing prime.  Never a false positive: every true rational factor
-degree survives in each closure.  Each image's DDF asks only about the
-factor degrees the mask still allows: it stops at the mask's highest open
-degree u <= deg/2 and lists the rest as one part, which leaves the mask
-exactly as full DDFs would (the proof is in ``_intersect``).  Only counts
-that are read run in full: those of the first five usable primes, which
-choose the Hensel prime.
+64 * 24 primes scanned.  Never a false positive: every true rational factor
+degree survives in each closure.  Each image's DDF stops at the mask's
+highest open degree u <= deg/2 and lists the rest as one part, which leaves
+the mask exactly as full DDFs would (the proof is in ``_intersect``).
 
 The scan from _PRIME_FLOOR and the rational factorization are memoised per
 sign-normalised polynomial in bounded caches (``_CACHE_SIZE`` entries each),
@@ -25,7 +21,7 @@ users:
 * degree-set certification (``certify_irreducible``) over the squarefree
   full-degree reductions that ``_reductions`` yields;
 * full rational factorization: Hensel lifting of one mod-p factorization,
-  at the prime with the fewest factors, plus recombination pruned by the
+  at the prime with the fewest counted parts, plus recombination pruned by the
   degree set.  The reducible F_{i,k} split into just two factors, which
   keeps recombination away from lattice reduction;
 * tower sampling for F_{i,k} itself: writing s = 1 + x + ... + x^k, the
@@ -37,8 +33,9 @@ users:
   degrees of s - zbar over F_p are a sound sample for degree-set
   certification of s - zeta at degree k instead of degree phi(i)*k.  This is
   what makes the k <= 200 sweeps cheap.  Each sample's DDF runs modulo the
-  trinomial (x - 1)(s - zbar), which PolyMod reduces by a fold, and Phi_m | F
-  is decided mod Phi_m, so F is built only for a peeled cell's cofactor.
+  trinomial (x - 1)(s - zbar), which PolyMod reduces by a fold.  Whether
+  Phi_m | F is read off k (the lemma at ``split_index``), so F is built only
+  for a peeled cell's cofactor.
 """
 from __future__ import annotations
 
@@ -55,6 +52,7 @@ from .algebra import (
     IntPoly,
     NotDivisible,
     factorize,
+    poly_divexact,
     poly_divmod,
     poly_mul,
     prime_range_from,
@@ -78,7 +76,7 @@ __all__ = [
 # Small primes show disproportionately many spurious splits.
 _PRIME_FLOOR = 101
 _PRIME_BUDGET = 24
-_HENSEL_CHOICES = 5  # usable primes whose factor counts choose the Hensel prime
+_HENSEL_CHOICES = 5  # usable primes whose counts choose the Hensel prime
 _DEGREE_CAP = 1600
 _CACHE_SIZE = 128  # entries in each of the _scan and _factor_over_Q caches
 _Image = tuple[_gf.GFArray, _gf.PolyMod | None]  # f mod p, and a PolyMod for its DDF
@@ -173,18 +171,6 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(d for d in range(mask.bit_length()) if mask >> d & 1)
 
 
-def _ddf_degrees(f: _gf.GFArray, p: int, ctx: _gf.PolyMod | None, upto: int | None = None) -> list[int]:
-    """Degrees, with multiplicity, of the irreducible factors of squarefree f
-    mod p, DDF in ctx; their number is the number of mod-p factors.  With
-    ``upto`` = u, the factors of degree above u count as one part, their
-    product."""
-    return [
-        d
-        for prod, d in _gf.gf_distinct_degree_list(f, p, ctx, upto=upto)
-        for _ in range(_gf.gf_degree(prod) // d)
-    ]
-
-
 def _open_bound(mask: int, n: int) -> int:
     """u: the highest factor degree in [1, n // 2] that mask still allows,
     or 0 when it allows none."""
@@ -209,9 +195,7 @@ def _reductions(poly: IntPoly, primes: Iterable[int]) -> Iterator[tuple[int, lis
         yield p, images
 
 
-def _intersect(
-    n: int, samples: Iterable[tuple[int, Iterable[_Image]]], exact: int = 0
-) -> tuple[int, dict[int, int]]:
+def _intersect(n: int, samples: Iterable[tuple[int, Iterable[_Image]]]) -> tuple[int, dict[int, int]]:
     """The degree-set engine: AND the closure masks of the squarefree
     degree-n images in ``samples`` into one mask of possible factor degrees.
 
@@ -219,14 +203,15 @@ def _intersect(
     {0, n}.  Otherwise it stops after _PRIME_BUDGET primes with an image, or
     after 64 * _PRIME_BUDGET primes scanned; the cap is applied before a
     prime's images are generated.  Returns the mask and, in scan order, the
-    number of mod-p factors of the first image at each prime that had one.
+    number of parts counted in the first image at each prime that had one.
 
     Each image's DDF stops at u = ``_open_bound(mask, n)``, the highest
     mask bit in [1, n // 2], and lists the factors of degree above u as one
-    part, their product, except at the first ``exact`` primes with an image,
-    whose counts are then exact; later counts are lower bounds.  The mask is
-    the one full DDFs would give: mask & closure(D) = mask & closure(D'), D
-    the factor degrees and D' those <= u plus the sum of the rest:
+    part, their product.  The first count is exact: the mask is still full,
+    so u = n // 2, and a squarefree image has at most one factor above n/2.
+    Later counts are lower bounds.  The mask is the one full DDFs would give:
+    mask & closure(D) = mask & closure(D'), D the factor degrees and D'
+    those <= u plus the sum of the rest:
     * the mask and every closure are symmetric (b <-> n - b), since the
       parts outside a sub-multiset of sum b sum to n - b;
     * closure(D') <= closure(D), as each part of D' is a sum of parts of D;
@@ -239,8 +224,8 @@ def _intersect(
     counts: dict[int, int] = {}
     for p, images in islice(samples, 64 * _PRIME_BUDGET):
         for f, ctx in images:
-            upto = None if len(counts) < exact else _open_bound(mask, n)
-            degs = _ddf_degrees(f, p, ctx, upto)
+            parts = _gf.gf_distinct_degree_list(f, p, ctx, upto=_open_bound(mask, n))
+            degs = [d for prod, d in parts for _ in range(_gf.gf_degree(prod) // d)]
             counts.setdefault(p, len(degs))
             mask &= _closure_mask(degs)
             if mask == target:
@@ -253,13 +238,13 @@ def _intersect(
 @lru_cache(maxsize=_CACHE_SIZE)
 def _scan(f: IntPoly) -> tuple[int, tuple[tuple[int, int], ...]]:
     """``_intersect`` over the reductions of f at the primes from
-    _PRIME_FLOOR up: the mask and the (prime, factor count) pairs in scan
-    order, exact at the first _HENSEL_CHOICES primes, which choose the
-    Hensel prime.  NotSquarefree, from the gate in ``_reductions``, when f
-    has a repeated factor.  Negating f changes no mod-p degree, so callers
-    pass f with a positive leading coefficient and share one entry."""
+    _PRIME_FLOOR up: the mask and the (prime, counted parts) pairs in scan
+    order, the first count exact and the rest lower bounds.  NotSquarefree,
+    from the gate in ``_reductions``, when f has a repeated factor.  Negating
+    f changes no mod-p degree, so callers pass f with a positive leading
+    coefficient and share one entry."""
     primes = prime_range_from(_PRIME_FLOOR)
-    mask, counts = _intersect(f.degree, _reductions(f, primes), _HENSEL_CHOICES)
+    mask, counts = _intersect(f.degree, _reductions(f, primes))
     return mask, tuple(counts.items())
 
 
@@ -401,9 +386,8 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...] | None, tuple[int, .
     if mask == (1 | (1 << n)):
         return (f,), primes_used
 
-    # Hensel prime: the first with the fewest mod-p factors among the first
-    # five usable primes, whose counts the scan keeps exact; at least two,
-    # as one factor ends the scan at {0, n}
+    # Hensel prime: the first with the fewest counted parts among the first
+    # five usable primes; at least two, as one part ends the scan at {0, n}
     hensel_p = min(counts[:_HENSEL_CHOICES], key=lambda pc: pc[1])[0]
     mod_facs = _gf.gf_factor(_gf.gf_from_coeffs(f.coeffs, hensel_p), hensel_p)
 
@@ -477,14 +461,35 @@ def factor_over_Q(poly: IntPoly) -> list[IntPoly] | None:
 
 
 def split_index(i: int) -> int:
-    """Order m of -1/zeta_i: the peeled factor of a reducible F_{i,k} is
-    Phi_m, and reducibility happens exactly when m | k+2 (observed pattern;
-    ``_split_divides`` never assumes it: it decides Phi_m | F exactly)."""
+    """Order m of -1/zeta_i.  For i >= 3, Phi_m divides F_{i,k} exactly
+    when m | k + 2.
+
+    Proof.  Phi_m is irreducible, so Phi_m | F exactly when s(omega) is a
+    primitive i-th root of unity for one primitive m-th root omega; take
+    omega = exp(2 pi sqrt(-1)/m) and r = (k + 1) mod m.  As m >= 3,
+    s(omega) = (omega^r - 1)/(omega - 1), so |s(omega)| =
+    |sin(pi r/m)| / sin(pi/m), which is 1 only for r = 1 or r = m - 1.
+    r = 1 gives s(omega) = 1, not a primitive i-th root.  r = m - 1 gives
+    -omega^(-1), and the primitive m-th roots are the -zeta^(-1), zeta a
+    primitive i-th root, so Phi_m | F.  Mod p, p = 1 (mod i), -1/zbar has
+    order m too, so s(-1/zbar) = zbar when m | k + 2: the tower's peel
+    always divides.
+
+    What stays conjectural is that F (when m does not divide k + 2) or
+    F/Phi_m is irreducible; the tower certifies that cell by cell.  For
+    even k, i | k + 2 exactly when m | k + 2 (m is i, 2i with i odd, or
+    i/2 odd), so both readings predict "reducible" exactly when Phi_m | F
+    (also checked for i = 3..199 and even k <= 398)."""
     if i % 2 == 1:
         return 2 * i
     if i % 4 == 2:
         return i // 2
     return i
+
+
+def _split_divides(i: int, k: int) -> bool:
+    """Whether Phi_m divides F_{i,k}: m | k + 2, m = split_index(i), i >= 3."""
+    return (k + 2) % split_index(i) == 0
 
 
 def _primitive_ith_roots(i: int, p: int) -> list[int]:
@@ -499,33 +504,37 @@ def _primitive_ith_roots(i: int, p: int) -> list[int]:
     raise ArithmeticError(f"no primitive {i}-th root of unity mod {p}")
 
 
-def _chain_minus_root(k: int, zbar: int, p: int, peel: bool) -> _gf.GFArray | None:
-    """s(x) - zbar over F_p, optionally with the root -1/zbar divided out;
-    None when -1/zbar is not a root there, so the sample is unusable."""
+def _chain_minus_root(k: int, zbar: int, p: int, peel: bool) -> _gf.GFArray:
+    """s(x) - zbar over F_p, with the root -1/zbar divided out when
+    ``peel``; ArithmeticError when it is not a root, which the lemma at
+    ``split_index`` rules out on the route ``_certify_tower`` takes."""
     cs = np.ones(k + 1, dtype=np.int64)
     cs[0] = (1 - zbar) % p
     if not peel:
         return cs
     q, r = _gf.gf_divmod(cs, np.array([pow(zbar, -1, p), 1], dtype=np.int64), p)
-    return q if len(r) == 0 else None
+    if len(r):
+        raise ArithmeticError(f"-1/{zbar} is not a root of s - {zbar} mod {p}")
+    return q
 
 
-def _certify_tower(i: int, k: int, peel: bool) -> tuple[bool, tuple[int, ...]]:
-    """Certify s - zeta (or its peeled quotient) irreducible over Q(zeta_i)
-    by intersecting degree-set closures of the residue samples at primes
-    p = 1 (mod i).  Sound regardless of sample correlations.
+def _certify_tower(i: int, k: int) -> tuple[bool, tuple[int, ...]]:
+    """Certify s - zeta, or its quotient by x + 1/zeta when Phi_m | F_{i,k},
+    irreducible over Q(zeta_i) by intersecting degree-set closures of the
+    residue samples at primes p = 1 (mod i).  Sound regardless of sample
+    correlations.
 
     Each prime's samples are the images s - zbar, one per primitive i-th
     root zbar, computed lazily: once the mask reaches {0, deg} the remaining
     roots are skipped, and the prime, which has contributed, ends the list
-    of primes used.  No factor count is read, so every sample's DDF stops
-    at the mask's highest open degree."""
+    of primes used."""
+    peel = _split_divides(i, k)
     deg = k - 1 if peel else k
 
     def samples(p: int) -> Iterator[_Image]:
         for zbar in _primitive_ith_roots(i, p):
             f = _chain_minus_root(k, zbar, p, peel)
-            if f is not None and _gf.gf_is_squarefree(f, p):
+            if _gf.gf_is_squarefree(f, p):
                 # f divides T = (x - 1)(s - zbar) = x^(k+1) - zbar*x + zbar - 1
                 T = np.zeros(k + 2, dtype=np.int64)
                 T[0], T[1], T[k + 1] = (zbar - 1) % p, -zbar % p, 1
@@ -543,35 +552,23 @@ def _certify_tower(i: int, k: int, peel: bool) -> tuple[bool, tuple[int, ...]]:
 _FULL_FACTOR_DEGREE = 48  # below this, go straight to factor_over_Q
 
 
-def _split_divides(i: int, k: int) -> bool:
-    """Whether Phi_m, m = split_index(i) > 1, divides F_{i,k}: Phi_i(s) by
-    Horner in Z[x]/(Phi_m), where x^m = 1 and 1 + x + ... + x^(m-1) = 0, so
-    s = 1 + x + ... + x^k is 1 + x + ... + x^(r-1), r = (k+1) mod m."""
-    m = split_index(i)
-    phi_m = cyclotomic(m)
-    s = IntPoly((1,) * ((k + 1) % m))
-    acc = IntPoly.zero()
-    for c in reversed(cyclotomic(i).coeffs):
-        acc = poly_divmod(poly_mul(acc, s) + IntPoly.constant(c), phi_m)[1]
-    return acc.is_zero
-
-
 def _observe(i: int, k: int) -> FactorReport:
     """Factor F_{i,k} outright up to _FULL_FACTOR_DEGREE, else by the tower,
     peeled of Phi_m when Phi_m divides F.  A tower that does not certify
-    leaves the report Unresolved: no factor degrees and no factors."""
+    leaves the report Unresolved: no factor degrees and no factors.  The
+    cofactor division is checked, so a wrong route can only end Unresolved
+    or raise, never in a false verdict."""
     n = cyclotomic(i).degree * k
     if n <= _FULL_FACTOR_DEGREE:
         factors, primes = _factor_over_Q(build_F(i, k))
         assert factors is not None
         return FactorReport(i, k, n, tuple(sorted(g.degree for g in factors)), primes, factors)
 
+    ok, primes = _certify_tower(i, k)
     if not _split_divides(i, k):
-        ok, primes = _certify_tower(i, k, peel=False)
         return FactorReport(i, k, n, (n,) if ok else (), primes)
-    ok, primes = _certify_tower(i, k, peel=True)
     phi_m = cyclotomic(split_index(i))
-    factors = (phi_m, poly_divmod(build_F(i, k), phi_m)[0]) if ok else ()  # Phi_m is monic
+    factors = (phi_m, poly_divexact(build_F(i, k), phi_m)) if ok else ()
     return FactorReport(i, k, n, tuple(sorted(g.degree for g in factors)), primes, factors)
 
 

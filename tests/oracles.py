@@ -8,7 +8,8 @@ from typing import Iterable, Iterator
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_factor_sqf, gf_sqf_p
 
-from amdigraph.algebra import IntPoly, divisors, euler_phi, factorize
+from amdigraph.algebra import IntPoly, divisors, euler_phi, factorize, poly_divmod, poly_mul
+from amdigraph.cyclotomic import cyclotomic
 from amdigraph.factorization import _FULL_FACTOR_DEGREE, FactorReport
 from amdigraph.sieve import settled
 from amdigraph.structures import CycleStructure
@@ -115,6 +116,23 @@ def structures_by_filter(d_prime: int, k: int) -> list[CycleStructure]:
         if ok and (d_prime - 1) % alpha == 0:
             out.append(s)
     return out
+
+
+def F_mod_cyclotomic(i: int, k: int, m: int) -> IntPoly:
+    """F_{i,k} mod Phi_m, exactly, without building F: Phi_i(s) by Horner in
+    Z[x]/(Phi_m), where x^m = 1 and 1 + x + ... + x^(m-1) = 0, so
+    s = 1 + x + ... + x^k is 1 + x + ... + x^(r-1), r = (k+1) mod m."""
+    return _phi_i_of_partial_sum(i, (k + 1) % m, m)
+
+
+@lru_cache(maxsize=None)  # one entry per residue r serves every k
+def _phi_i_of_partial_sum(i: int, r: int, m: int) -> IntPoly:
+    phi_m = cyclotomic(m)
+    s = IntPoly((1,) * r)
+    acc = IntPoly.zero()
+    for c in reversed(cyclotomic(i).coeffs):
+        acc = poly_divmod(poly_mul(acc, s) + IntPoly.constant(c), phi_m)[1]
+    return acc
 
 
 def tower_cells() -> list[tuple[int, int]]:

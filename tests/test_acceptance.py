@@ -19,6 +19,7 @@ from amdigraph.cyclotomic import build_F, cyclotomic, ramanujan_sum
 from amdigraph.digraphs import gen_line_digraph_complete, run_battery
 from amdigraph.factorization import (
     _certify_tower,
+    _split_divides,
     certify_irreducible,
     conjecture_verdict,
     factor_over_Q,
@@ -195,7 +196,7 @@ def test_criterion_5_oracle_battery() -> None:
 
 def test_criterion_6_factorization_cross_check() -> None:
     problems: list[str] = []
-    cells = towers = 0
+    cells = towers = ruled = 0
     for i in range(2, 200):
         if euler_phi(i) > 24:
             continue
@@ -219,11 +220,15 @@ def test_criterion_6_factorization_cross_check() -> None:
             if i < 3:
                 continue
             # the tower's soundness at small degree: where it certifies, F
-            # is irreducible, or Phi_m times an irreducible cofactor
+            # is irreducible, or Phi_m times an irreducible cofactor; the
+            # route rule m | k + 2 says exactly when Phi_m divides F
             phi_m = cyclotomic(split_index(i))
             cofactor, rem = poly_divmod(F, phi_m)
             peel = rem.is_zero
-            if _certify_tower(i, k, peel)[0]:
+            ruled += 1
+            if _split_divides(i, k) != peel:
+                problems.append(f"({i},{k}) route rule says {not peel} for Phi_m | F")
+            elif _certify_tower(i, k)[0]:
                 towers += 1
                 shape = sorted([phi_m, cofactor], key=lambda g: (g.degree, g.coeffs)) if peel else [F]
                 if facs != shape:
@@ -232,7 +237,7 @@ def test_criterion_6_factorization_cross_check() -> None:
         6,
         problems,
         f"{cells} cells with phi(i)*k <= 48: single factor iff Irreducible, exact products;"
-        f" {towers} tower certificates confirmed",
+        f" {towers} tower certificates confirmed; Phi_m | F exactly when m | k + 2 on all {ruled}",
     )
 
 

@@ -409,3 +409,21 @@ def test_oracle_check_huge_k_header_exits_three(
     path.write_text(gen_line_digraph_complete(2).serialize(2, 2).replace("6 2 2", f"6 2 {k}"))
     assert main(["oracle", "check", str(path)]) == 3
     assert f"FAIL OrderMismatch: 6 != 2 + ... + 2^{k} > 14" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", ["check", "report"])
+def test_oracle_refuses_more_vertices_than_gen_writes(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str], cmd: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # a 2-regular circulant (v -> v+1, v+2) on 2046 = 2 + ... + 2^10 vertices
+    # passes the degree and order checks, and its k = 10 dense n x n products
+    # ran past 300 s; it exits 1 before any matrix is built
+    n = 2046
+    path = tmp_path / "circulant.dig"
+    circulant = Digraph(n, tuple(tuple(sorted(((v + 1) % n, (v + 2) % n))) for v in range(n)))
+    path.write_text(circulant.serialize(2, 10))
+    monkeypatch.setattr(Digraph, "adjacency", lambda self: pytest.fail("a matrix was built"))
+    assert main(["oracle", cmd, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: 2046 vertices, above the largest oracle gen instance (156)\n"

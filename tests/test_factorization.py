@@ -21,7 +21,7 @@ from amdigraph.factorization import (
     score_conjecture,
     split_index,
 )
-from oracles import primes_in, tower_cells, tower_report_holds
+from oracles import F_mod_cyclotomic, primes_in, tower_cells, tower_report_holds
 
 
 def _sympy_degrees(poly: IntPoly) -> list[int]:
@@ -120,15 +120,16 @@ def test_bounded_degrees_keep_the_mask(n: int, cuts: set[int], mask_cuts: list[s
 
 
 @pytest.mark.parametrize("i, k", [(5, 8), (3, 4)])
-def test_scan_counts_are_exact_where_the_hensel_prime_is_chosen(i: int, k: int) -> None:
-    # the first five counts choose the Hensel prime and come from full DDFs;
-    # later ones count the factors above the bound as one part
+def test_scan_first_count_is_exact_and_later_ones_are_lower_bounds(i: int, k: int) -> None:
+    # the first DDF is bounded at n // 2 by the full mask, so its count is
+    # exact; later ones count the factors above the bound as one part
     F = build_F(i, k)
     _, counts = factorization._scan(F)
     assert len(counts) > factorization._HENSEL_CHOICES
-    for n, (p, count) in enumerate(counts):
-        full = len(_gf.gf_factor(_gf.gf_from_coeffs(F.coeffs, p), p))
-        assert count == full if n < factorization._HENSEL_CHOICES else count <= full
+    full = [len(_gf.gf_factor(_gf.gf_from_coeffs(F.coeffs, p), p)) for p, _ in counts]
+    assert counts[0][1] == full[0]
+    assert all(count <= n for (_, count), n in zip(counts, full))
+    assert any(count < n for (_, count), n in zip(counts, full))
 
 
 def test_certify_tower_is_unchanged_by_the_bound(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -145,10 +146,10 @@ def test_certify_tower_is_unchanged_by_the_bound(monkeypatch: pytest.MonkeyPatch
                 if euler_phi(i) * k > factorization._FULL_FACTOR_DEGREE
                 and factorization._split_divides(i, k) == peel
             ]
-            cells.append((i, rng.choice(ks), peel))
-    bounded = [factorization._certify_tower(i, k, peel) for i, k, peel in cells]
-    monkeypatch.setattr(factorization, "_open_bound", lambda mask, n: None)
-    assert [factorization._certify_tower(i, k, peel) for i, k, peel in cells] == bounded
+            cells.append((i, rng.choice(ks)))
+    bounded = [factorization._certify_tower(i, k) for i, k in cells]
+    monkeypatch.setattr(factorization, "_open_bound", lambda mask, n: n)  # no bound
+    assert [factorization._certify_tower(i, k) for i, k in cells] == bounded
     assert all(ok for ok, _ in bounded)
 
 
@@ -169,8 +170,8 @@ def test_certify_irreducible_reducible_input_stays_unknown() -> None:
 
 
 def test_certify_tower_stops_at_scan_cap(monkeypatch: pytest.MonkeyPatch) -> None:
-    # Phi_12 does not divide F_{12,26}, so no peeled sample is ever usable;
-    # the scan must stop after 64 * budget primes p = 1 (mod 12)
+    # with no sample squarefree, none is usable; the scan must stop after
+    # 64 * budget primes p = 1 (mod 12)
     cap = 64 * factorization._PRIME_BUDGET
     scanned: list[int] = []
     roots = factorization._primitive_ith_roots
@@ -182,7 +183,8 @@ def test_certify_tower_stops_at_scan_cap(monkeypatch: pytest.MonkeyPatch) -> Non
         return roots(i, p)
 
     monkeypatch.setattr(factorization, "_primitive_ith_roots", spy)
-    assert factorization._certify_tower(12, 26, peel=True) == (False, ())
+    monkeypatch.setattr(_gf, "gf_is_squarefree", lambda f, p: False)
+    assert factorization._certify_tower(12, 26) == (False, ())
     assert len(scanned) == cap
     assert all((p - 1) % 12 == 0 for p in scanned)
 
@@ -384,12 +386,40 @@ def test_tower_agrees_with_full_factoring() -> None:
 
 @pytest.mark.parametrize("i", range(3, 31))
 def test_split_divides_agrees_with_dividing_F(i: int) -> None:
-    # two full periods of (k + 1) mod m: the residue rule against Phi_m
-    # dividing the whole F_{i,k}
+    # the rule m | k + 2 against F mod Phi_m by Horner for k = 1..300, and
+    # against dividing the whole F_{i,k} over two periods of (k + 1) mod m
+    # wherever deg F <= 600
     m = split_index(i)
-    for k in range(1, 2 * m + 1):
-        divides = poly_divmod(build_F(i, k), cyclotomic(m))[1].is_zero
-        assert factorization._split_divides(i, k) == divides, k
+    for k in range(1, 301):
+        divides = factorization._split_divides(i, k)
+        assert F_mod_cyclotomic(i, k, m).is_zero == divides, k
+        if k <= 2 * m and euler_phi(i) * k <= 600:
+            assert poly_divmod(build_F(i, k), cyclotomic(m))[1].is_zero == divides, k
+
+
+def test_every_peel_of_a_tower_cell_divides() -> None:
+    # x + 1/zbar divides s - zbar at each stored prime and primitive root of
+    # every peeled tower cell: the remainder s(-1/zbar) - zbar is zero
+    peeled = 0
+    for i, k in tower_cells():
+        if not factorization._split_divides(i, k):
+            continue
+        peeled += 1
+        for p in conjecture_verdict(i, k).observed.primes_used:
+            for zbar in factorization._primitive_ith_roots(i, p):
+                w = -pow(zbar, -1, p) % p
+                assert sum(pow(w, j, p) for j in range(k + 1)) % p == zbar, (i, k, p)
+    assert peeled == 23
+
+
+def test_chain_minus_root_refuses_a_peel_that_does_not_divide() -> None:
+    # Phi_12 does not divide F_{12,26}: asked to peel, no root divides
+    assert not factorization._split_divides(12, 26)
+    for p in islice((q for q in prime_range_from(101) if (q - 1) % 12 == 0), 3):
+        for zbar in factorization._primitive_ith_roots(12, p):
+            assert len(factorization._chain_minus_root(26, zbar, p, peel=False)) == 27
+            with pytest.raises(ArithmeticError):
+                factorization._chain_minus_root(26, zbar, p, peel=True)
 
 
 @pytest.mark.parametrize("i, k, builds", [(5, 14, 0), (5, 18, 1)])
@@ -512,13 +542,14 @@ def test_observe_is_unresolved_when_the_tower_does_not_certify(
 ) -> None:
     calls = []
 
-    def fail(i, k, peel):
-        calls.append(peel)
+    def fail(i, k):
+        calls.append((i, k))
         return False, (101, 131)
 
     monkeypatch.setattr(factorization, "_certify_tower", fail)
     v = conjecture_verdict.__wrapped__(i, k)  # past the cache
-    assert calls == [peel]
+    assert calls == [(i, k)]
+    assert factorization._split_divides(i, k) == peel
     assert v.observed.verdict == "Unresolved"
     assert v.observed.certificate_kind == "DegreeSetIntersection"
     assert v.observed.factor_degrees == ()
@@ -610,44 +641,69 @@ def _record_gf_factor(monkeypatch: pytest.MonkeyPatch) -> list[int]:
     return primes
 
 
-def _five_prime_hensel_choice(f: IntPoly) -> int:
-    """The Hensel-prime loop the scan's factor counts replaced: factor f mod
-    each of the first five usable primes, keep the first with fewest factors."""
-    best: tuple[int, int] | None = None
-    count = 0
+def _fewest_factor_primes(f: IntPoly) -> set[int]:
+    """The primes with the fewest mod-p factors of f among the first five
+    usable ones, counted by an unbounded DDF mod each."""
+    counts = {}
     for p in prime_range_from(101):
         img = _gf.gf_from_coeffs(f.coeffs, p)
-        if f.lead % p == 0 or not _gf.gf_is_squarefree(img, p):
-            continue
-        count += 1
-        n = len(_gf.gf_factor(img, p))
-        if best is None or n < best[1]:
-            best = (p, n)
-        if count >= 5 or n == 1:
-            break
-    assert best is not None
-    return best[0]
+        if f.lead % p and _gf.gf_is_squarefree(img, p):
+            parts = _gf.gf_distinct_degree_list(img, p)
+            counts[p] = sum(_gf.gf_degree(prod) // d for prod, d in parts)
+            if len(counts) == 5:
+                break
+    return {p for p, n in counts.items() if n == min(counts.values())}
 
 
 def test_factor_over_Q_factors_mod_p_once(monkeypatch: pytest.MonkeyPatch) -> None:
     # every reducible criterion-6 cell of degree <= 24: one gf_factor call,
-    # at the prime the five-prime loop picks, which the result rests on
+    # at a prime with the fewest mod-p factors of the first five usable
+    # ones, which the result rests on
     reducible = 0
     for i in range(2, 200):
         for k in range(2, 49):
             if euler_phi(i) * k > 24:
                 break
             F = build_F(i, k)
-            expected = _five_prime_hensel_choice(F)
+            fewest = _fewest_factor_primes(F)
             with monkeypatch.context() as m:
                 factored = _record_gf_factor(m)
                 factors, primes = factorization._factor_over_Q(F)
             assert factors is not None
             if len(factors) > 1:
                 reducible += 1
-                assert factored == [expected]
-                assert expected in primes
+                assert len(factored) == 1 and factored[0] in fewest
+                assert factored[0] in primes
     assert reducible == 10
+
+
+class _HenselPrime(Exception):
+    pass
+
+
+def test_hensel_prime_has_the_fewest_factors_where_the_scan_stays_open(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # every criterion-6 cell whose scan ends above {0, n}: the counts that
+    # choose the Hensel prime are lower bounds past the first, yet the prime
+    # factored at has the fewest mod-p factors of the first five usable ones
+    def stop(f, p):
+        raise _HenselPrime(p)  # the lift and recombination are not needed
+
+    monkeypatch.setattr(_gf, "gf_factor", stop)
+    open_scans = 0
+    for i in range(2, 200):
+        for k in range(2, 49):
+            if euler_phi(i) * k > 48:
+                break
+            F = build_F(i, k)
+            if factorization._scan(F)[0] == 1 | (1 << F.degree):
+                continue
+            open_scans += 1
+            with pytest.raises(_HenselPrime) as chosen:
+                factorization._factor_over_Q.__wrapped__(F)  # past the cache
+            assert chosen.value.args[0] in _fewest_factor_primes(F), (i, k)
+    assert open_scans == 102
 
 
 def _clear_caches() -> None:

@@ -326,7 +326,7 @@ def test_distinct_degree_list_in_a_multiple_of_f(
     for p in primes:
         for zbar in _primitive_ith_roots(i, p):
             f = _chain_minus_root(k, zbar, p, peel)
-            if f is None or not ref_squarefree(lst(f), p):
+            if not ref_squarefree(lst(f), p):
                 continue
             seen.append((k + 1 - zbar) % p)
             T = [(zbar - 1) % p, -zbar % p] + [0] * (k - 1) + [1]
