@@ -267,8 +267,9 @@ class PolyMod:
         return gf_trim(c)
 
     def pow(self, a: GFArray, e: int) -> GFArray:
+        """a**e mod f for a reduced mod f, as in ``mul``: ``x_to_p`` (n >= 2)
+        and the equal-degree split (deg a < n) pass no other base."""
         r = gf_one()
-        a = gf_divmod(a, self.f, self.p)[1]
         while e:
             if e & 1:
                 r = self.mul(r, a)
@@ -277,7 +278,8 @@ class PolyMod:
         return r
 
     def x_to_p(self) -> GFArray:
-        """x^p mod f, the first Frobenius iterate of x and row 1 of the matrix."""
+        """x^p mod f, the first Frobenius iterate of x and row 1 of the matrix,
+        asked for only at n >= 2, where x is reduced mod f."""
         if self._xp is None:
             self._xp = self.pow(gf_x(), self.p)
         return self._xp

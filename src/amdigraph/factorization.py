@@ -355,28 +355,24 @@ def _l2_norm_ceil(f: IntPoly) -> int:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...] | None, tuple[int, ...]]:
+def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...], tuple[int, ...]]:
     """Factor f (leading coefficient positive) over Q; also returns the
     primes the result rests on.
 
     The pruning mask and the Hensel prime come from ``_scan(f)``: its counts
     choose the Hensel prime, so only that prime is factored mod p.
-    NotSquarefree from the squarefree gate, at every degree; None
-    (Unresolved) above _DEGREE_CAP; NoUsablePrime when the scan finds no
-    squarefree full-degree reduction.
+    ValueError for a constant, over-_DEGREE_CAP or non-primitive f, before
+    any prime is tried; NotSquarefree from the squarefree gate in the scan;
+    NoUsablePrime when the scan finds no squarefree full-degree reduction.
     """
-    if f.degree < 1:
-        raise ValueError("factor_over_Q expects a nonconstant polynomial")
+    if not 1 <= f.degree <= _DEGREE_CAP:
+        raise ValueError(f"factor_over_Q expects a degree from 1 to {_DEGREE_CAP}")
     if f.content() != 1:
         raise ValueError("factor_over_Q expects a primitive polynomial")
     assert f.lead > 0
     n = f.degree
     if n == 1:
         return (f,), ()
-    if n > _DEGREE_CAP:
-        # the gate alone: at most 41 pairs, up to the first image
-        any(images for _, images in islice(_reductions(f, prime_range_from(_PRIME_FLOOR)), 41))
-        return None, ()
 
     # degree-set pruning mask, behind the squarefree gate
     mask, counts = _scan(f)
@@ -419,10 +415,8 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...] | None, tuple[int, .
             cand = _prod(lifted[j] for j in combo)
             cand = _pcenter(cand.scale(f_cur.lead), modulus).primitive_part()
             try:
-                q, r = poly_divmod(f_cur, cand)
+                q = poly_divexact(f_cur, cand)
             except NotDivisible:
-                continue
-            if not r.is_zero:
                 continue
             found.append(cand)
             f_cur = q.primitive_part()
@@ -438,18 +432,16 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...] | None, tuple[int, .
     return tuple(found), primes_used
 
 
-def factor_over_Q(poly: IntPoly) -> list[IntPoly] | None:
+def factor_over_Q(poly: IntPoly) -> list[IntPoly]:
     """Complete factorization into irreducibles whose product is poly.
 
     Hensel lifting of a mod-p factorization with recombination pruned by the
-    degree set.  Returns None (Unresolved) when deg(poly) exceeds 1600
-    (``_DEGREE_CAP``); raises NotSquarefree when gcd(poly, poly') is
-    nonconstant.  A negative leading coefficient goes to the first factor.
+    degree set.  Raises ValueError, before any prime is tried, when
+    deg(poly) exceeds 1600 (``_DEGREE_CAP``), and NotSquarefree when
+    gcd(poly, poly') is nonconstant.  A negative leading coefficient goes to
+    the first factor.
     """
-    factors = _factor_over_Q(_positive(poly))[0]
-    if factors is None:
-        return None
-    out = list(factors)
+    out = list(_factor_over_Q(_positive(poly))[0])
     if poly.lead < 0:
         out[0] = -out[0]
     return out
@@ -561,7 +553,6 @@ def _observe(i: int, k: int) -> FactorReport:
     n = cyclotomic(i).degree * k
     if n <= _FULL_FACTOR_DEGREE:
         factors, primes = _factor_over_Q(build_F(i, k))
-        assert factors is not None
         return FactorReport(i, k, n, tuple(sorted(g.degree for g in factors)), primes, factors)
 
     ok, primes = _certify_tower(i, k)

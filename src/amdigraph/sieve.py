@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import gcd
 
-from .algebra import divisors as all_divisors
+from .algebra import factorize
 from .cyclotomic import ramanujan_sum
 from .factorization import ConjectureVerdict, conjecture_verdict
 
@@ -73,6 +73,7 @@ class TraceSystem:
     k: int
     ell_max: int  # largest ell with ell*(d-1) < k+1
     divisors: tuple[int, ...]
+    mobius: tuple[int, ...]  # mu(n) per n, from k's prime exponents
 
     def row(self, ell: int) -> tuple[int, ...]:
         """S_ell(Phi_n) per n, evaluated from the Ramanujan sums."""
@@ -136,19 +137,24 @@ def prime_witness(d: int, k: int) -> int | None:
 def build_trace_system(d: int, k: int) -> TraceSystem:
     """Constraint rows 0 = d^ell + sum_n a_n S_ell(Phi_n) for every ell with
     ell*(d-1) < k+1 (strict), n ranging over the divisors of k above 1; each
-    row is evaluated when it is read."""
+    row is evaluated when it is read.  mu(n) per n comes from k's prime
+    exponents, not from the Ramanujan sums."""
     if d < 2 or k < 2:
         raise ValueError("build_trace_system expects d >= 2 and k >= 2")
-    return TraceSystem(d, k, k // (d - 1), tuple(all_divisors(k)[1:]))
+    pairs = [(1, 1)]  # (n, mu(n)) for every n | k
+    for p, e in factorize(k).items():
+        pairs = [(n * p**a, 0 if a > 1 else mu * (-1) ** a) for n, mu in pairs for a in range(e + 1)]
+    divisors, mobius = zip(*sorted(pairs)[1:])
+    return TraceSystem(d, k, k // (d - 1), divisors, mobius)
 
 
 def check_infeasible(sys: TraceSystem, ell: int) -> bool:
-    """The mu-collapse at ell (1 < ell <= ell_max): rows 1 and ell agree, so
-    subtracting them forces d^ell = d, false for d >= 2 and ell > 1.  A prime
-    ell coprime to k always collapses, as S_ell(Phi_n) = mu(n) = S_1(Phi_n)
-    for every n | k.  False for any ell outside that range: the system has no
-    row ell."""
-    return 1 < ell <= sys.ell_max and sys.row(1) == sys.row(ell)
+    """The mu-collapse at ell (1 < ell <= ell_max): row ell, from the
+    Ramanujan sums, equals the stored mu(n), which is row 1 (Hoelder), so the
+    two rows force d^ell = d, false for d >= 2.  A prime ell coprime to k
+    always collapses, as S_ell(Phi_n) = mu(n) for every n | k.  False for any
+    ell outside that range: the system has no row ell."""
+    return 1 < ell <= sys.ell_max and sys.row(ell) == sys.mobius
 
 
 def settled(d: int, k: int) -> Certificate | None:

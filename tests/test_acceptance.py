@@ -147,7 +147,7 @@ def test_criterion_3_witness_trace_agreement() -> None:
             sys = build_trace_system(d, k)
             if not (
                 check_infeasible(sys, w)
-                and sys.row(1) == sys.row(w)
+                and sys.row(1) == sys.mobius == sys.row(w)
                 and d**w != d
             ):
                 problems.append(f"({d},{k}) witness {w} does not collapse rows 1 and {w}")
@@ -206,9 +206,6 @@ def test_criterion_6_factorization_cross_check() -> None:
             cells += 1
             F = build_F(i, k)
             facs = factor_over_Q(F)
-            if facs is None:
-                problems.append(f"({i},{k}) unresolved")
-                continue
             prod = IntPoly.one()
             for g in facs:
                 prod = poly_mul(prod, g)

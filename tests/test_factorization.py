@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amdigraph import _gf, factorization
-from amdigraph.algebra import IntPoly, euler_phi, poly_divmod, poly_mul, prime_range_from
+from amdigraph.algebra import IntPoly, NotDivisible, euler_phi, poly_divmod, poly_mul, prime_range_from
 from amdigraph.cyclotomic import build_F, cyclotomic
 from amdigraph.factorization import (
     NoUsablePrime,
@@ -243,7 +243,6 @@ def test_certify_irreducible_terminates_on_repeated_factors() -> None:
 
 def test_factor_over_Q_quartic_minus_one() -> None:
     facs = factor_over_Q(IntPoly((-1, 0, 0, 0, 1)))
-    assert facs is not None
     assert {p.coeffs for p in facs} == {(-1, 1), (1, 1), (1, 0, 1)}
 
 
@@ -251,7 +250,6 @@ def test_factor_over_Q_rebuilds_product_exactly() -> None:
     for i, k in ((4, 2), (3, 4), (5, 8)):
         F = build_F(i, k)
         facs = factor_over_Q(F)
-        assert facs is not None
         assert len(facs) == 2
         prod = IntPoly.one()
         for g in facs:
@@ -259,9 +257,20 @@ def test_factor_over_Q_rebuilds_product_exactly() -> None:
         assert prod == F
 
 
-def test_factor_over_Q_degree_cap_returns_none() -> None:
+def test_factor_over_Q_refuses_a_degree_above_the_cap_before_any_prime(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    calls = []
+
+    def spy(f, p, _original=_gf.gf_is_squarefree):
+        calls.append(p)
+        return _original(f, p)
+
+    monkeypatch.setattr(_gf, "gf_is_squarefree", spy)
     over_cap = IntPoly.monomial(factorization._DEGREE_CAP + 1) - IntPoly.one()
-    assert factor_over_Q(over_cap) is None
+    with pytest.raises(ValueError, match="from 1 to 1600"):
+        factor_over_Q(over_cap)
+    assert calls == []
 
 
 def test_factor_over_Q_without_a_usable_prime_raises(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -276,30 +285,6 @@ def test_factor_over_Q_rejects_repeated_factors() -> None:
     sq = poly_mul(poly_mul(IntPoly((-1, 1)), IntPoly((-1, 1))), IntPoly((2, 1)))
     with pytest.raises(NotSquarefree):
         factor_over_Q(sq)
-
-
-def test_factor_over_Q_gates_squarefreeness_above_the_degree_cap(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    monkeypatch.setattr(factorization, "_DEGREE_CAP", 2)
-    calls = []
-
-    def spy(f, p, _original=_gf.gf_is_squarefree):
-        calls.append(p)
-        return _original(f, p)
-
-    monkeypatch.setattr(_gf, "gf_is_squarefree", spy)
-    sq = poly_mul(poly_mul(IntPoly((-1, 1)), IntPoly((-1, 1))), IntPoly((2, 1)))
-    with pytest.raises(NotSquarefree):
-        factor_over_Q(sq)
-    assert calls == list(islice(prime_range_from(factorization._PRIME_FLOOR), 41))
-    calls.clear()
-    assert factor_over_Q(IntPoly((-1, 0, 0, 1))) is None  # x^3 - 1, squarefree
-    assert calls == [101]
-    calls.clear()
-    # x^3 - 101 is x^3 mod 101, so its first image is at 103
-    assert factor_over_Q(IntPoly((-101, 0, 0, 1))) is None
-    assert calls == [101, 103]
 
 
 def test_certify_irreducible_stops_at_the_squarefree_gate(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -325,30 +310,51 @@ def test_factor_over_Q_agrees_with_sympy() -> None:
         for k in range(2, 6):
             F = build_F(i, k)
             facs = factor_over_Q(F)
-            assert facs is not None
             assert sorted(g.degree for g in facs) == _sympy_degrees(F)
 
 
 @given(
-    st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=7).map(
-        lambda cs: IntPoly(tuple(cs[:-1]) + (1,))
-    )
+    st.tuples(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=6),
+    ).map(lambda t: IntPoly(tuple(t[0]) + (t[1],)))
 )
 @example(IntPoly((1, 0, 1, 1, 1, 1, 1)))  # (x^2+1)(x^4+x^3+1); mod 101 degrees 1, 1, 4
-@settings(max_examples=40, deadline=None)
+@example(IntPoly((-10, -29, -10, 8, 20)))  # (2x+5)(4x^3-2x-5): a candidate does not divide
+@settings(max_examples=60, deadline=None)
 def test_factor_over_Q_roundtrip_on_monic_squarefree(p: IntPoly) -> None:
-    assume(p.degree >= 1)
+    # monic or not: leading coefficients 1..6, primitive inputs only
+    assume(p.content() == 1)
     try:
         facs = factor_over_Q(p)
     except NotSquarefree:
         assume(False)
         return
-    assert facs is not None
     prod = IntPoly.one()
     for g in facs:
         prod = poly_mul(prod, g)
     assert prod == p
     assert sorted(g.degree for g in facs) == _sympy_degrees(p)
+
+
+def test_recombination_skips_a_candidate_that_does_not_divide(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # (2x + 5)(4x^3 - 2x - 5): one lifted candidate leaves a remainder, and
+    # recombination moves on to the factor that divides
+    refused = []
+
+    def spy(a: IntPoly, b: IntPoly, _original=factorization.poly_divexact) -> IntPoly:
+        try:
+            return _original(a, b)
+        except NotDivisible:
+            refused.append(b)
+            raise
+
+    monkeypatch.setattr(factorization, "poly_divexact", spy)
+    F = poly_mul(IntPoly((5, 2)), IntPoly((-5, -2, 0, 4)))
+    assert factor_over_Q(F) == [IntPoly((5, 2)), IntPoly((-5, -2, 0, 4))]
+    assert refused
 
 
 def test_tower_agrees_with_a_foreign_kernel() -> None:
@@ -669,7 +675,6 @@ def test_factor_over_Q_factors_mod_p_once(monkeypatch: pytest.MonkeyPatch) -> No
             with monkeypatch.context() as m:
                 factored = _record_gf_factor(m)
                 factors, primes = factorization._factor_over_Q(F)
-            assert factors is not None
             if len(factors) > 1:
                 reducible += 1
                 assert len(factored) == 1 and factored[0] in fewest
@@ -778,7 +783,6 @@ def test_certify_irreducible_of_negation_shares_the_entry(monkeypatch: pytest.Mo
 def test_factor_over_Q_returns_a_fresh_list() -> None:
     F = build_F(5, 8)
     first = factor_over_Q(F)
-    assert first is not None
     expected = list(first)
     first[0] = IntPoly.one()
     first.append(F)

@@ -365,6 +365,23 @@ def test_distinct_degree_list_bounded_at_one_builds_no_frobenius_matrix() -> Non
     assert lst(ctx.x_to_p()) == lst(_gf.gf_trim(ctx.frobenius_matrix()[1]))
 
 
+def test_x_to_p_divides_nothing(monkeypatch: pytest.MonkeyPatch) -> None:
+    # pow takes its base reduced, as mul does, and x is reduced modulo any f
+    # of degree >= 2, so the first Frobenius iterate needs no division
+    p = 101
+    f = ref_mul(_irreducibles(2, p)[0], _irreducibles(3, p)[0], p)
+    ctx = _gf.PolyMod(arr(f), p)
+    calls = []
+
+    def spy(a, b, q, _original=_gf.gf_divmod):
+        calls.append(len(b))
+        return _original(a, b, q)
+
+    monkeypatch.setattr(_gf, "gf_divmod", spy)
+    assert lst(ctx.x_to_p()) == ref_powmod([0, 1], p, f, p)
+    assert calls == []
+
+
 def test_int64_edge_largest_prime_degree_300() -> None:
     # n * (p - 1)**2 < 2**63 bounds every convolution and table-matmul sum,
     # and a trinomial's fold adds at most 2 * (p - 1)**2 to a residue; the

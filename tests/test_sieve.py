@@ -20,9 +20,10 @@ from amdigraph.sieve import (
     check_infeasible,
     decide,
     prime_witness,
+    settled,
     validate_certificate,
 )
-from oracles import primes_in, ramanujan_divisor_sum, threshold_covered
+from oracles import mobius, primes_in, ramanujan_divisor_sum, threshold_covered
 
 
 def _table(sys: sieve.TraceSystem) -> tuple[tuple[int, ...], ...]:
@@ -423,8 +424,9 @@ def test_prime_witness_is_the_least_coprime_prime() -> None:
 def test_validate_certificate_at_huge_k_evaluates_rows_1_and_w_only(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # 10^12 + 1 = 73 * 137 * 99990001: seven divisors above 1, so rows 1 and
-    # w take 2 * 7 Ramanujan sums, whatever ell_max is
+    # 10^12 + 1 = 73 * 137 * 99990001: seven divisors above 1, so row w takes
+    # 7 Ramanujan sums, whatever ell_max is, and row 1, the Moebius row built
+    # from k's prime exponents, takes none
     k = 10**12 + 1
     cert = decide(6, k)
     assert (cert.method, cert.witness) == ("PrimeWitness", 2)
@@ -436,8 +438,8 @@ def test_validate_certificate_at_huge_k_evaluates_rows_1_and_w_only(
 
     monkeypatch.setattr(sieve, "ramanujan_sum", counted)
     assert validate_certificate(cert)
-    assert len(calls) == 14
     sys = build_trace_system(6, k)
+    assert calls == [(2, n) for n in sys.divisors]
     assert sys.ell_max == k // 5
     assert len(sys.divisors) == 7
     assert check_infeasible(sys, 2)
@@ -451,3 +453,51 @@ def test_witness_check_fails_when_ramanujan_sums_are_wrong(
     monkeypatch.setattr(sieve, "ramanujan_sum", lambda ell, n: ramanujan_sum(ell, n) if ell == 1 else 0)
     with pytest.raises(CertificateError, match="not infeasible"):
         validate_certificate(decide(6, 11))
+
+
+def test_trace_system_mobius_row_is_mu_of_each_divisor() -> None:
+    for k in range(2, 301):
+        sys = build_trace_system(2, k)
+        assert sys.divisors == tuple(divisors(k)[1:])
+        assert sys.mobius == tuple(mobius(n) for n in sys.divisors)
+
+
+def _witness_certificates() -> list[Certificate]:
+    # every PrimeWitness cell of d = 4..12, k = 5..300, from the settled
+    # rules alone, so no cell is factored
+    cells = (settled(d, k) for d in range(4, 13) for k in range(5, 301))
+    certs = [c for c in cells if c is not None and c.method == "PrimeWitness"]
+    assert len(certs) == 2521
+    return certs
+
+
+def test_every_witness_certificate_validates() -> None:
+    assert all(validate_certificate(c) for c in _witness_certificates())
+
+
+def _rejects_every_witness() -> None:
+    for cert in _witness_certificates():
+        with pytest.raises(CertificateError, match="not infeasible"):
+            validate_certificate(cert)
+
+
+def test_witness_check_fails_when_every_ramanujan_sum_is_one(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # a sum that depends only on gcd(ell, n) makes rows 1 and w agree by
+    # construction; the Moebius row does not come from the sums, so it differs
+    monkeypatch.setattr(sieve, "ramanujan_sum", lambda ell, n: 1)
+    _rejects_every_witness()
+
+
+def test_witness_check_fails_when_the_mobius_row_is_ones(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    honest = sieve.build_trace_system
+
+    def ones(d: int, k: int) -> sieve.TraceSystem:
+        sys = honest(d, k)
+        return replace(sys, mobius=(1,) * len(sys.divisors))
+
+    monkeypatch.setattr(sieve, "build_trace_system", ones)
+    _rejects_every_witness()
