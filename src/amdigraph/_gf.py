@@ -6,41 +6,60 @@ Polynomials are numpy int64 arrays, ascending coefficients, residues in
 
 Arithmetic modulo a fixed f of degree n goes through PolyMod, which
 precomputes x^(n+j) mod f once (Shoup's precomputed-modulus arithmetic, as in
-NTL), so a modular product is one convolution plus one matrix product.  Both
-sum at most n products of two residues, so they stay exact in int64 while
-n*(p-1)**2 < 2**63: with p < 2**20 that holds for every n below 2**23.  The
-primes this package feeds in are a few hundred at most.  A trinomial
-f = x^n + a*x + b needs no table: x^n = -a*x - b and x times the high half
-of a product has degree below n, so one fold, two shifted axpys, reduces
-it and adds at most 2*(p-1)**2 to a residue.
+NTL), so a modular product is one convolution plus one matrix product.  A
+trinomial f = x^n + a*x + b needs no table: x^n = -a*x - b and x times the
+high half of a product has degree below n, so one fold, two shifted axpys,
+reduces it and adds at most 2*(p-1)**2 to a residue.
 
-Euclidean division, remainders and (extended) gcds pack each operand into
-one Python int, one 64-bit slot per coefficient, the leading coefficient in
-the lowest slot (Kronecker substitution; von zur Gathen & Gerhard, Modern
-Computer Algebra, 8.4).  A quotient step reads the lowest slot mod p, adds
-(p - c) times the divisor, which makes that slot 0 mod p, and shifts it out:
-one multi-precision multiply-add per step in place of a loop over the
-divisor's coefficients.  Slots only grow, so no borrow crosses a slot, and
-they are reduced mod p only when they must be.  In one division a slot
-receives at most min(quotient length, deg b + 1) additions, each at most
-p - 1 times the divisor's largest slot.  Euclid carries such a bound for
-every remainder and reduces both operands (unpack, % p, repack) only before
-a division whose bound would pass 2**63 - 1, so slots always read back as
-int64.  From reduced operands the bound is (p-1) + (deg b + 1)*(p-1)**2,
-which stays below 2**63 for deg b below 2**23 when p < 2**20, as for the
-convolution.  A long quotient runs on a window of the divisor's length plus
-16 slots, topped up from the dividend every 16 steps, so a step costs
-O(deg b) words whatever the dividend's length.
+Two exactness bounds hold every sum of products of residues:
 
-The distinct-degree routine uses the Frobenius matrix (rows x^{p*j} mod f) so
-repeated Frobenius steps are matrix-vector products, with gcd extraction
-batched in blocks and each block's product split on its own (von zur Gathen
-& Gerhard, Modern Computer Algebra, ch. 14); this is what makes desk-scale
-certification sweeps cheap.  The first step needs no matrix: x^p mod f is
-kept on its own, as row 1.  A caller that asks only about factor degrees up
-to some u bounds the routine there: it stops after the iterate x^(p^u) and
-returns the unsplit rest, every factor of degree above u, as one entry, so
-a bound of 1 builds no matrix at all.
+- int64, n*(p-1)**2 < 2**63: the convolution, the table product, the fold
+  and the packed slots of Euclid below;
+- float64, n*(p-1)**2 < 2**53: the Frobenius matrix, its build and its
+  products.  Every such sum has at most n terms, each below (p-1)**2, so it
+  is an exact float64 integer.  With p < 2**20 this holds for every n below
+  2**13.
+
+PolyMod refuses an f and p past the float64 bound, which implies the int64
+one.  The primes this package feeds in are about 10**4 at most, and its
+degrees are at most 1600.
+
+The distinct-degree routine uses the Frobenius matrix Q (row j = x^(p*j)
+mod f), so repeated Frobenius steps are vector-matrix products, with gcd
+extraction batched in blocks and each block's product split on its own (von
+zur Gathen & Gerhard, Modern Computer Algebra, ch. 14; Shoup, J. Symb. Comp.
+20 (1995)); this is what makes desk-scale certification sweeps cheap.  Q is
+a Krylov sequence: M, the matrix of multiplication by x^p mod f (row i =
+x^i * x^p mod f), comes from a Toeplitz matrix of x^p, whose columns of
+degree n and above the fold or the table reduce in a few whole-array
+operations; then row j of Q is row j-1 times M, one float64 product per
+row, cast to int64 and reduced.  The first step needs no matrix: x^p mod f
+is kept on its own, as row 1.  A caller that asks only about factor degrees
+up to some u bounds the routine there: it stops after the iterate x^(p^u)
+and returns the unsplit rest, every factor of degree above u, as one entry,
+so a bound of 1 builds no matrix at all.
+
+Euclidean division, remainders and (extended) gcds run one quotient loop,
+``_euclid``, which steps through every division of Euclid inline, with no
+call per division; a single division is Euclid stopped after the first.
+Each operand is packed into one Python int, one 64-bit slot per
+coefficient, the leading coefficient in the lowest slot (Kronecker
+substitution; von zur Gathen & Gerhard, 8.4).  A quotient step reads the
+lowest slot mod p, takes the quotient coefficient c, adds (p - c) times the
+divisor, which makes that slot 0 mod p, and shifts it out: one
+multi-precision multiply-add per step in place of a loop over the divisor's
+coefficients.  Slots only grow, so no borrow crosses a slot, and they are
+reduced mod p only when they must be.  In one division a slot receives at
+most min(quotient length, deg b + 1) additions, each at most p - 1 times the
+divisor's largest slot.  The loop carries such a bound for both remainders
+and reduces them (unpack, % p, repack) only before a division whose bound
+would pass 2**63 - 1, so slots always read back as int64.  From reduced
+operands the bound is (p-1) + (deg b + 1)*(p-1)**2, which stays below 2**63
+for deg b below 2**23 when p < 2**20.  A long quotient runs on a window of
+the divisor's length plus 16 slots, topped up from the dividend every 16
+steps, so a step costs O(deg b) words whatever the dividend's length; a
+quotient of at most 16 steps, the common case inside Euclid, takes no
+window.
 """
 from __future__ import annotations
 
@@ -48,10 +67,12 @@ import random
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 GFArray = np.ndarray
 
 _MAX_P = 1 << 20
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer below it
 
 
 def gf_trim(a: GFArray) -> GFArray:
@@ -135,76 +156,70 @@ def _unpack(r: int, n: int, p: int) -> GFArray:
     return _slots(r, n)[::-1] % p
 
 
-def _divide(a: int, na: int, b: int, nb: int, p: int) -> tuple[int, int, list[int]]:
-    """Long division of packed a (na slots) by packed b (nb slots, the leading
-    one a unit mod p); the caller keeps every slot below 2**63.
+def _euclid(
+    a: GFArray, b: GFArray, p: int, quotients: list[GFArray] | None = None, once: bool = False
+) -> tuple[int, int, int, int]:
+    """Euclid on a and b, every division in one quotient loop.
 
-    Returns the remainder, packed, with its leading slots that are 0 mod p
-    dropped, its slot count, and the quotient coefficients negated mod p,
-    leading first.
-    """
-    ninv = p - pow(b & _MASK, -1, p)
-    q: list[int] = []
-    steps = na - nb + 1
-    w, rest = a, 0
-    if steps > _WINDOW:
-        w, rest = a & ((1 << 64 * (nb - 1 + _WINDOW)) - 1), a >> 64 * (nb - 1 + _WINDOW)
-    while steps > 0:
-        for _ in range(min(steps, _WINDOW)):
-            c = (w & _MASK) * ninv % p
-            q.append(c)
-            if c:
-                w += c * b
-            w >>= 64
-        steps -= _WINDOW
-        if steps > 0:
-            w |= (rest & _WINDOW_MASK) << 64 * (nb - 1)
-            rest >>= 64 * _WINDOW
-    n = min(na, nb - 1)
-    while n and (w & _MASK) % p == 0:
-        w >>= 64
-        n -= 1
-    return w, n, q
-
-
-def _quotient(q: list[int], p: int) -> GFArray:
-    return -np.array(q[::-1], dtype=np.int64) % p
-
-
-def _euclid(a: GFArray, b: GFArray, p: int, quotients: list[GFArray] | None = None) -> GFArray:
-    """Last nonzero remainder of Euclid on a and b, not made monic.
-
+    Returns the last two remainders, packed, with their slot counts:
+    (r0, n0, r1, n1), r1 = 0 and r0 the last nonzero remainder, not made
+    monic.  With ``once`` it stops after the first division, so r1 = a mod b.
     Appends each division's quotient to ``quotients`` when given.
     """
     r0, n0, r1, n1 = _pack(a), len(a), _pack(b), len(b)
     b0 = b1 = p - 1  # slot bounds of r0 and r1
     while n1:
-        # the most multiply-adds one slot of r0 receives in this division
-        touches = min(max(n0 - n1 + 1, 0), n1)
+        steps = n0 - n1 + 1
+        # the most multiply-adds one slot of r0 receives, and the remainder's
+        # slot count: a shorter r0 (only ever in the first division) is the
+        # remainder as it stands
+        touches, n = (min(steps, n1), n1 - 1) if steps > 0 else (0, n0)
         if b0 + touches * (p - 1) * b1 > _LIMIT:
             r0, r1, b0, b1 = _reduce(r0, n0, p), _reduce(r1, n1, p), p - 1, p - 1
-        r, n, q = _divide(r0, n0, r1, n1, p)
+        inv = pow(r1 & _MASK, -1, p)
+        w, rest = r0, 0
+        if steps > _WINDOW:
+            w, rest = r0 & ((1 << 64 * (n1 - 1 + _WINDOW)) - 1), r0 >> 64 * (n1 - 1 + _WINDOW)
+        q: list[int] = []
+        for step in range(steps):
+            c = (w & _MASK) * inv % p
+            q.append(c)
+            if c:
+                w += (p - c) * r1
+            w >>= 64
+            if rest and step % _WINDOW == _WINDOW - 1:  # top the window up
+                w |= (rest & _WINDOW_MASK) << 64 * (n1 - 1)
+                rest >>= 64 * _WINDOW
+        # drop the remainder's leading slots that are 0 mod p
+        while n and (w & _MASK) % p == 0:
+            w >>= 64
+            n -= 1
         if quotients is not None:
-            quotients.append(_quotient(q, p))
-        r0, n0, b0, r1, n1, b1 = r1, n1, b1, r, n, b0 + touches * (p - 1) * b1
-    return _unpack(r0, n0, p)
+            quotients.append(np.array(q[::-1], dtype=np.int64))
+        r0, n0, b0, r1, n1, b1 = r1, n1, b1, w, n, b0 + touches * (p - 1) * b1
+        if once:
+            break
+    return r0, n0, r1, n1
 
 
 def gf_divmod(a: GFArray, b: GFArray, p: int) -> tuple[GFArray, GFArray]:
     if len(b) == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    r, n, q = _divide(_pack(a), len(a), _pack(b), len(b), p)
-    return _quotient(q, p), _unpack(r, n, p)
+    quotients: list[GFArray] = []
+    _, _, r, n = _euclid(a, b, p, quotients, once=True)
+    return quotients[0], _unpack(r, n, p)
 
 
 def gf_gcd(a: GFArray, b: GFArray, p: int) -> GFArray:
-    return gf_monic(_euclid(a, b, p), p)
+    r, n, _, _ = _euclid(a, b, p)
+    return gf_monic(_unpack(r, n, p), p)
 
 
 def gf_gcdext(a: GFArray, b: GFArray, p: int) -> tuple[GFArray, GFArray, GFArray]:
     """Extended Euclid: (g, s, t) with s*a + t*b = g, g monic."""
     quotients: list[GFArray] = []
-    g = _euclid(a, b, p, quotients)
+    r, n, _, _ = _euclid(a, b, p, quotients)
+    g = _unpack(r, n, p)
     if len(g) == 0:
         raise ZeroDivisionError("gcdext of zero polynomials")
     s0, s1 = gf_one(), gf_zero()
@@ -227,7 +242,7 @@ def gf_is_squarefree(a: GFArray, p: int) -> bool:
 
 
 class PolyMod:
-    """Arithmetic in F_p[x]/(f) with f monic.
+    """Arithmetic in F_p[x]/(f) with f monic, n = deg f, n*(p-1)**2 < 2**53.
 
     A trinomial f = x^n + a*x + b (n > 1) reduces by one fold; any other f
     builds the reduction table (row j = x^(n+j) mod f, j < n-1) up front.
@@ -235,12 +250,17 @@ class PolyMod:
     """
 
     def __init__(self, f: GFArray, p: int):
+        n = len(f) - 1
+        if n * (p - 1) ** 2 >= _FLOAT_EXACT:
+            raise ValueError(f"degree {n} at p = {p} passes n*(p-1)**2 < 2**53")
         self.p = p
         self.f = gf_monic(np.asarray(f, dtype=np.int64), p)
-        n = self.n = gf_degree(self.f)
+        self.n = n
         self._xp: GFArray | None = None
         self._frob: GFArray | None = None
+        self._frob_rows: np.ndarray | None = None
         self._table: GFArray | None = None
+        self._fold = (int(self.f[0]), int(self.f[1])) if n > 1 else (0, 0)
         if n > 1 and self.f[2:n].any():
             # a product of two residues has degree at most 2n-2
             table = self._table = np.zeros((n - 1, n), dtype=np.int64)
@@ -254,16 +274,20 @@ class PolyMod:
         """a*b mod f, for a and b already reduced mod f."""
         if len(a) == 0 or len(b) == 0:
             return gf_zero()
-        c = np.convolve(a, b) % self.p
+        p = self.p
+        c = np.convolve(a, b)
+        c %= p
         n = self.n
         if len(c) > n:
             hi = c[n:]
             if self._table is None:  # x^n = -a*x - b, and x*hi has degree < n
-                c[: len(hi)] -= self.f[0] * hi
-                c[1 : len(hi) + 1] -= self.f[1] * hi
+                f0, f1 = self._fold
+                c[: len(hi)] -= f0 * hi
+                c[1 : len(hi) + 1] -= f1 * hi
             else:
                 c[:n] += hi @ self._table[: len(hi)]
-            c = c[:n] % self.p
+            c = c[:n]
+            c %= p
         return gf_trim(c)
 
     def pow(self, a: GFArray, e: int) -> GFArray:
@@ -285,27 +309,50 @@ class PolyMod:
         return self._xp
 
     def frobenius_matrix(self) -> GFArray:
-        """Rows j = x^{p*j} mod f, j in [0, n)."""
+        """Rows j = x^{p*j} mod f, j in [0, n), as int64, built once: row j
+        is row j-1 times M, the matrix of multiplication by x^p mod f, in
+        float64.  The float64 rows are kept beside Q for ``frobenius``."""
         if self._frob is None:
-            n = self.n
+            n, p = self.n, self.p
             Q = np.zeros((n, n), dtype=np.int64)
             Q[0, 0] = 1
+            rows = Q.astype(np.float64)
             if n > 1:
-                xp = self.x_to_p()
-                cur = xp
-                Q[1, : len(cur)] = cur
+                M = self._times_x_to_p().astype(np.float64)
+                Q[1] = rows[1] = M[0]
                 for j in range(2, n):
-                    cur = self.mul(cur, xp)
-                    Q[j, : len(cur)] = cur
-            self._frob = Q
+                    q = Q[j]
+                    q[...] = rows[j - 1] @ M
+                    q %= p
+                    rows[j] = q
+            self._frob, self._frob_rows = Q, rows
         return self._frob
 
+    def _times_x_to_p(self) -> GFArray:
+        """M, row i = x^i * x^p mod f, i in [0, n): the unreduced rows are a
+        Toeplitz matrix of x^p, whose high columns the fold or the table
+        reduce in whole-array operations."""
+        n, p, xp = self.n, self.p, self.x_to_p()
+        v = np.zeros(3 * n - 2, dtype=np.int64)
+        v[n - 1 : n - 1 + len(xp)] = xp
+        shifts = sliding_window_view(v, 2 * n - 1)[::-1]  # row i = x^i * x^p
+        M, hi = shifts[:, :n].copy(), shifts[:, n:]
+        if self._table is None:
+            f0, f1 = self._fold
+            M[:, : n - 1] -= f0 * hi
+            M[:, 1:] -= f1 * hi
+        else:
+            M += (hi.astype(np.float64) @ self._table.astype(np.float64)).astype(np.int64)
+        M %= p
+        return M
+
     def frobenius(self, a: GFArray) -> GFArray:
-        """a -> a**p mod f via the cached matrix."""
-        Q = self.frobenius_matrix()
-        v = np.zeros(self.n, dtype=np.int64)
-        v[: len(a)] = a
-        return gf_trim(Q.T @ v % self.p)
+        """a -> a**p mod f: a times the matrix's first len(a) rows, in
+        float64, exact as the rows are."""
+        self.frobenius_matrix()
+        r = (a @ self._frob_rows[: len(a)]).astype(np.int64)
+        r %= self.p
+        return gf_trim(r)
 
 
 def _pth_root(a: GFArray, p: int) -> GFArray:

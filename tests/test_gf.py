@@ -428,3 +428,89 @@ def test_division_slots_at_largest_prime_degree_300(shape: str) -> None:
     s, t, h = gf_gcdex(sympy_dense(a), sympy_dense(b), p, ZZ)
     got = _gf.gf_gcdext(arr(a), arr(b), p)
     assert [lst(x) for x in got] == [from_sympy(h), from_sympy(s), from_sympy(t)]
+
+
+def _frobenius_cases() -> list:
+    """Seeded trinomials up to degree 302 and dense monic f up to 150, at
+    small primes, at primes near the scan's and at the largest prime the
+    kernel accepts."""
+    rng = random.Random(302)
+    cases = []
+    for p in (3, 5, 101, 113, 241, 1048573):
+        for n in (2, 3, 17, rng.randrange(4, 120), 150, 302):
+            f = [rng.randrange(p), rng.randrange(p)] + [0] * (n - 2) + [1]
+            cases.append(pytest.param(p, f, id=f"p{p}-trinomial-{n}"))
+        for n in (2, 5, rng.randrange(6, 60), 150):
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            cases.append(pytest.param(p, f, id=f"p{p}-dense-{n}"))
+    # n * (p - 1)**2 is about 3.3e14 here, the tightest float64 sums of the suite
+    p = 1048573
+    f = [rng.randrange(p), rng.randrange(p)] + [0] * 299 + [1]
+    cases.append(pytest.param(p, f, id=f"p{p}-trinomial-301"))
+    f = [rng.randrange(p) for _ in range(300)] + [1]
+    cases.append(pytest.param(p, f, id=f"p{p}-dense-300"))
+    return cases
+
+
+@pytest.mark.parametrize("p, f", _frobenius_cases())
+def test_frobenius_matrix_equals_the_product_route(p: int, f: list[int]) -> None:
+    # the Krylov build (row j = row j-1 times the matrix of multiplication by
+    # x^p) equals the rows x^(p*j) mod f multiplied out one product at a time
+    ctx = _gf.PolyMod(arr(f), p)
+    Q = ctx.frobenius_matrix()
+    n = len(f) - 1
+    xp = ctx.x_to_p()
+    assert Q.dtype == np.int64 and Q.shape == (n, n)
+    assert lst(Q[0]) == [1] + [0] * (n - 1)
+    assert lst(_gf.gf_trim(Q[1])) == lst(xp)
+    for j in range(2, n):
+        assert lst(_gf.gf_trim(Q[j])) == lst(ctx.mul(_gf.gf_trim(Q[j - 1]), xp))
+    a = arr(_trim([random.Random(n).randrange(p) for _ in range(n)]))
+    assert lst(ctx.frobenius(a)) == lst(ctx.pow(a, p))
+
+
+def test_polymod_refuses_a_degree_past_the_float64_bound() -> None:
+    # every Frobenius row sums at most n products below (p-1)**2 in float64,
+    # exact while n * (p-1)**2 < 2**53: at the largest prime that is n <= 8192
+    p = 1048573
+    assert 8192 * (p - 1) ** 2 < 2**53 <= 8193 * (p - 1) ** 2
+    rng = random.Random(8193)
+    dense = arr([rng.randrange(p) for _ in range(8193)] + [1])
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        _gf.PolyMod(dense, p)  # refused before its 8192 x 8193 table is made
+    for n in (8191, 8192):
+        ctx = _gf.PolyMod(arr([p - 1, p - 1] + [0] * (n - 2) + [1]), p)
+        assert ctx.n == n and ctx._table is None and ctx._frob is None
+
+
+@st.composite
+def quotient_of_length(draw):
+    """a and b whose first division takes 1 to 40 quotient steps, on both
+    sides of the 16-slot division window."""
+    p = draw(st.sampled_from((3, 1048573)))
+    steps = draw(st.integers(1, 40))
+    nb = draw(st.integers(1, 30))
+    b = draw(poly(p, nb, monic_degree=nb - 1))
+    b[-1] = draw(st.integers(1, p - 1))
+    a = draw(poly(p, nb + steps - 1, monic_degree=nb + steps - 2))
+    a[-1] = draw(st.integers(1, p - 1))
+    return p, a, b
+
+
+@given(quotient_of_length())
+@settings(max_examples=120, deadline=None)
+def test_euclid_loop_matches_references_at_every_quotient_length(case) -> None:
+    p, a, b = case
+    q, r = _gf.gf_divmod(arr(a), arr(b), p)
+    assert (lst(q), lst(r)) == ref_divmod(a, b, p)
+    assert len(q) == len(a) - len(b) + 1
+    g = ref_gcd(a, b, p)
+    assert lst(_gf.gf_gcd(arr(a), arr(b), p)) == g
+    assert lst(_gf.gf_gcd(arr(b), arr(a), p)) == g  # a first division of no steps
+    h, s, t = _gf.gf_gcdext(arr(a), arr(b), p)
+    assert lst(h) == g
+    sa, tb = ref_mul(lst(s), a, p), ref_mul(lst(t), b, p)
+    n = max(len(sa), len(tb))
+    total = [(x + y) % p for x, y in zip(sa + [0] * (n - len(sa)), tb + [0] * (n - len(tb)))]
+    assert _trim(total) == g
+    assert len(s) <= max(len(b) - len(g), 0) and len(t) <= max(len(a) - len(g), 1)
