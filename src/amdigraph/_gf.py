@@ -6,19 +6,22 @@ Polynomials are numpy int64 arrays, ascending coefficients, residues in
 
 Arithmetic modulo a fixed f of degree n goes through PolyMod, which
 precomputes x^(n+j) mod f once (Shoup's precomputed-modulus arithmetic, as in
-NTL), so a modular product is one convolution plus one matrix product.  A
-trinomial f = x^n + a*x + b needs no table: x^n = -a*x - b and x times the
-high half of a product has degree below n, so one fold, two shifted axpys,
-reduces it and adds at most 2*(p-1)**2 to a residue.
+NTL), so a modular product is one convolution plus one matrix product.  The
+table is built by doubling: x^m times rows [0, m) gives rows [m, 2m), each
+row's low columns shifted up by m plus its top m columns times rows [0, m),
+so about log2 n float64 products build it.  A trinomial f = x^n + a*x + b
+needs no table: x^n = -a*x - b and x times the high half of a product has
+degree below n, so one fold, two shifted axpys, reduces it and adds at most
+2*(p-1)**2 to a residue.
 
 Two exactness bounds hold every sum of products of residues:
 
 - int64, n*(p-1)**2 < 2**63: the convolution, the table product, the fold
   and the packed slots of Euclid below;
-- float64, n*(p-1)**2 < 2**53: the Frobenius matrix, its build and its
-  products.  Every such sum has at most n terms, each below (p-1)**2, so it
-  is an exact float64 integer.  With p < 2**20 this holds for every n below
-  2**13.
+- float64, n*(p-1)**2 < 2**53: the reduction table's doubling steps, the
+  Frobenius matrix, its build and its products.  Every such sum has at most
+  n terms, each below (p-1)**2, so it is an exact float64 integer.  With
+  p < 2**20 this holds for every n below 2**13.
 
 PolyMod refuses an f and p past the float64 bound, which implies the int64
 one.  The primes this package feeds in are about 10**4 at most, and its
@@ -59,7 +62,9 @@ for deg b below 2**23 when p < 2**20.  A long quotient runs on a window of
 the divisor's length plus 16 slots, topped up from the dividend every 16
 steps, so a step costs O(deg b) words whatever the dividend's length; a
 quotient of at most 16 steps, the common case inside Euclid, takes no
-window.
+window.  Only gf_divmod and gf_gcdext read quotients; in a gcd such a short
+quotient is not kept, and each of its steps is one read of the lowest slot,
+one multiply-add and one shift.
 """
 from __future__ import annotations
 
@@ -164,39 +169,54 @@ def _euclid(
     Returns the last two remainders, packed, with their slot counts:
     (r0, n0, r1, n1), r1 = 0 and r0 the last nonzero remainder, not made
     monic.  With ``once`` it stops after the first division, so r1 = a mod b.
-    Appends each division's quotient to ``quotients`` when given.
+    Appends each division's quotient to ``quotients`` when given
+    (``gf_divmod`` and ``gf_gcdext``).  Without it a quotient of at most
+    _WINDOW steps, the common case in a gcd, is not kept: each step is one
+    read, one multiply-add and one shift.  A longer quotient runs on the
+    window, as it does with ``quotients``.
     """
     r0, n0, r1, n1 = _pack(a), len(a), _pack(b), len(b)
-    b0 = b1 = p - 1  # slot bounds of r0 and r1
+    top = p - 1
+    b0 = b1 = top  # slot bounds of r0 and r1
     while n1:
         steps = n0 - n1 + 1
         # the most multiply-adds one slot of r0 receives, and the remainder's
         # slot count: a shorter r0 (only ever in the first division) is the
         # remainder as it stands
-        touches, n = (min(steps, n1), n1 - 1) if steps > 0 else (0, n0)
-        if b0 + touches * (p - 1) * b1 > _LIMIT:
-            r0, r1, b0, b1 = _reduce(r0, n0, p), _reduce(r1, n1, p), p - 1, p - 1
-        inv = pow(r1 & _MASK, -1, p)
-        w, rest = r0, 0
-        if steps > _WINDOW:
-            w, rest = r0 & ((1 << 64 * (n1 - 1 + _WINDOW)) - 1), r0 >> 64 * (n1 - 1 + _WINDOW)
-        q: list[int] = []
-        for step in range(steps):
-            c = (w & _MASK) * inv % p
-            q.append(c)
-            if c:
-                w += (p - c) * r1
-            w >>= 64
-            if rest and step % _WINDOW == _WINDOW - 1:  # top the window up
-                w |= (rest & _WINDOW_MASK) << 64 * (n1 - 1)
-                rest >>= 64 * _WINDOW
+        if steps > 0:
+            touches, n = (steps if steps < n1 else n1), n1 - 1
+        else:
+            touches, n = 0, n0
+        bound = b0 + touches * top * b1  # the remainder's slot bound
+        if bound > _LIMIT:
+            r0, r1, b1 = _reduce(r0, n0, p), _reduce(r1, n1, p), top
+            bound = top + touches * top * top
+        # adding ((lowest slot) * neg % p) * r1 makes the lowest slot 0 mod p;
+        # that multiplier is p - c for the quotient coefficient c, or 0
+        neg = p - pow(r1 & _MASK, -1, p)
+        w = r0
+        if quotients is None and steps <= _WINDOW:
+            for _ in range(steps):
+                w = (w + (w & _MASK) * neg % p * r1) >> 64
+        else:
+            rest = 0
+            if steps > _WINDOW:
+                w, rest = r0 & ((1 << 64 * (n1 - 1 + _WINDOW)) - 1), r0 >> 64 * (n1 - 1 + _WINDOW)
+            q: list[int] = []
+            for step in range(steps):
+                c = (w & _MASK) * neg % p
+                q.append(c)
+                w = (w + c * r1) >> 64
+                if rest and step % _WINDOW == _WINDOW - 1:  # top the window up
+                    w |= (rest & _WINDOW_MASK) << 64 * (n1 - 1)
+                    rest >>= 64 * _WINDOW
+            if quotients is not None:
+                quotients.append(-np.array(q[::-1], dtype=np.int64) % p)
         # drop the remainder's leading slots that are 0 mod p
         while n and (w & _MASK) % p == 0:
             w >>= 64
             n -= 1
-        if quotients is not None:
-            quotients.append(np.array(q[::-1], dtype=np.int64))
-        r0, n0, b0, r1, n1, b1 = r1, n1, b1, w, n, b0 + touches * (p - 1) * b1
+        r0, n0, b0, r1, n1, b1 = r1, n1, b1, w, n, bound
         if once:
             break
     return r0, n0, r1, n1
@@ -241,11 +261,33 @@ def gf_is_squarefree(a: GFArray, p: int) -> bool:
     return gf_degree(gf_gcd(a, gf_derivative(a, p), p)) == 0
 
 
+def _reduction_table(f: GFArray, p: int) -> GFArray:
+    """Rows j = x^(n+j) mod f, j < n - 1, for f monic of degree n >= 2: a
+    product of two residues has degree at most 2n - 2.
+
+    By doubling: row m + j = x^m * row j, so rows [m, 2m) are rows [0, m)
+    shifted up by m, plus their top m columns times rows [0, m), one float64
+    product of sums of at most m < n terms below (p-1)**2 per step."""
+    n = len(f) - 1
+    table = np.zeros((n - 1, n), dtype=np.int64)
+    table[0] = (-f[:n]) % p
+    m = 1
+    while m < n - 1:
+        rows = table[: min(m, n - 1 - m)]
+        new = table[m : m + len(rows)]
+        new[:, m:] = rows[:, : n - m]
+        new += (rows[:, n - m :].astype(np.float64) @ table[:m].astype(np.float64)).astype(np.int64)
+        new %= p
+        m += len(rows)
+    return table
+
+
 class PolyMod:
     """Arithmetic in F_p[x]/(f) with f monic, n = deg f, n*(p-1)**2 < 2**53.
 
     A trinomial f = x^n + a*x + b (n > 1) reduces by one fold; any other f
-    builds the reduction table (row j = x^(n+j) mod f, j < n-1) up front.
+    builds the reduction table (row j = x^(n+j) mod f, j < n-1) up front,
+    by doubling (``_reduction_table``).
     x^p mod f and the Frobenius matrix are cached on first use.
     """
 
@@ -262,13 +304,7 @@ class PolyMod:
         self._table: GFArray | None = None
         self._fold = (int(self.f[0]), int(self.f[1])) if n > 1 else (0, 0)
         if n > 1 and self.f[2:n].any():
-            # a product of two residues has degree at most 2n-2
-            table = self._table = np.zeros((n - 1, n), dtype=np.int64)
-            table[0] = (-self.f[:n]) % p
-            for j in range(1, n - 1):
-                prev = table[j - 1]
-                table[j, 1:] = prev[:-1]
-                table[j] = (table[j] + prev[-1] * table[0]) % p
+            self._table = _reduction_table(self.f, p)
 
     def mul(self, a: GFArray, b: GFArray) -> GFArray:
         """a*b mod f, for a and b already reduced mod f."""
@@ -401,7 +437,8 @@ def gf_distinct_degree_list(
     of the block's h_j - x takes every factor of a degree in the block out
     of the remainder at once, and only that gcd g is split further, by
     gcd(g, h_j - x) in ascending j.  Early exit once the remainder must be
-    irreducible.  h_1 = x^p comes from ``ctx.x_to_p``, not the matrix.
+    irreducible.  h_1 = x^p comes from ``ctx.x_to_p``, not the matrix, and
+    a block's product starts from its first h_j - x.
 
     With ``upto`` = u the last block closes at j = u, and the remainder,
     the product of every factor of degree above u, is appended whole with
@@ -430,8 +467,8 @@ def gf_distinct_degree_list(
             j += 1
             h = ctx.frobenius(h) if j > 1 else ctx.x_to_p()
             iterates.append((j, gf_sub(h, x, p)))
-        acc = gf_one()
-        for _, hx in iterates:
+        acc = iterates[0][1]
+        for _, hx in iterates[1:]:
             acc = ctx.mul(acc, hx)
         g = gf_gcd(remaining, acc, p)
         if gf_degree(g) == 0:

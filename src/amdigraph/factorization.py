@@ -33,7 +33,12 @@ users:
   degrees of s - zbar over F_p are a sound sample for degree-set
   certification of s - zeta at degree k instead of degree phi(i)*k.  This is
   what makes the k <= 200 sweeps cheap.  Each sample's DDF runs modulo the
-  trinomial (x - 1)(s - zbar), which PolyMod reduces by a fold.  Whether
+  trinomial T = (x - 1)(s - zbar), which PolyMod reduces by a fold.  A
+  sample is used only when squarefree, which needs no gcd: with
+  a = (k + 1)(zbar - 1)/(zbar*k), s - zbar has a repeated root exactly when
+  p does not divide k(k + 1), a != 1 and a^k = zbar/(k + 1) mod p, and the
+  peeled quotient exactly when also a != -1/zbar (the proof is at
+  ``_tower_sample_squarefree``).  Whether
   Phi_m | F is read off k (the lemma at ``split_index``), so F is built only
   for a peeled cell's cofactor.
 """
@@ -510,6 +515,32 @@ def _chain_minus_root(k: int, zbar: int, p: int, peel: bool) -> _gf.GFArray:
     return q
 
 
+def _tower_sample_squarefree(k: int, zbar: int, p: int, peel: bool) -> bool:
+    """Whether s - zbar, s = 1 + x + ... + x^k, or its quotient by
+    x + 1/zbar when ``peel``, is squarefree over F_p, for zbar not 0 or 1
+    mod p and, when ``peel``, -1/zbar a root of s - zbar: what
+    ``_gf.gf_is_squarefree`` answers on ``_chain_minus_root``, with no gcd.
+
+    Proof.  T = (x - 1)(s - zbar) = x^(k+1) - zbar*x + zbar - 1, and
+    T' = (k + 1)x^k - zbar.  A repeated root of s - zbar is a root of T and
+    T'.  If p | k + 1, T' = -zbar has no root.  Otherwise x^k = zbar/(k + 1)
+    at a common root, where T = zbar - 1 - zbar*k*x/(k + 1): if p | k that is
+    zbar - 1, not 0, and else the root is x = a = (k + 1)(zbar - 1)/(zbar*k),
+    which is not 0, and T(a) = 0 follows from a^k = zbar/(k + 1).  So T has a
+    repeated root exactly when p does not divide k(k + 1) and
+    a^k = zbar/(k + 1), and it is a.  T''(a) = k(k + 1)a^(k-1) is not 0, so
+    a is a double root of T.  If a = 1, that is zbar = k + 1, and 1 is then a
+    simple root of s - zbar, which is squarefree.  If a != 1, a is a double
+    root of s - zbar.  The peel divides out x + 1/zbar once, so the quotient
+    keeps a double root unless a = -1/zbar, where a is left simple."""
+    if k * (k + 1) % p == 0:
+        return True
+    a = (k + 1) * (zbar - 1) * pow(zbar * k, -1, p) % p
+    if a == 1 or pow(a, k, p) != zbar * pow(k + 1, -1, p) % p:
+        return True
+    return peel and a == -pow(zbar, -1, p) % p
+
+
 def _certify_tower(i: int, k: int) -> tuple[bool, tuple[int, ...]]:
     """Certify s - zeta, or its quotient by x + 1/zeta when Phi_m | F_{i,k},
     irreducible over Q(zeta_i) by intersecting degree-set closures of the
@@ -519,18 +550,18 @@ def _certify_tower(i: int, k: int) -> tuple[bool, tuple[int, ...]]:
     Each prime's samples are the images s - zbar, one per primitive i-th
     root zbar, computed lazily: once the mask reaches {0, deg} the remaining
     roots are skipped, and the prime, which has contributed, ends the list
-    of primes used."""
+    of primes used.  A sample that is not squarefree is skipped before it is
+    built (``_tower_sample_squarefree``)."""
     peel = _split_divides(i, k)
     deg = k - 1 if peel else k
 
     def samples(p: int) -> Iterator[_Image]:
         for zbar in _primitive_ith_roots(i, p):
-            f = _chain_minus_root(k, zbar, p, peel)
-            if _gf.gf_is_squarefree(f, p):
-                # f divides T = (x - 1)(s - zbar) = x^(k+1) - zbar*x + zbar - 1
+            if _tower_sample_squarefree(k, zbar, p, peel):
+                # the sample divides T = (x - 1)(s - zbar) = x^(k+1) - zbar*x + zbar - 1
                 T = np.zeros(k + 2, dtype=np.int64)
                 T[0], T[1], T[k + 1] = (zbar - 1) % p, -zbar % p, 1
-                yield f, _gf.PolyMod(T, p)
+                yield _chain_minus_root(k, zbar, p, peel), _gf.PolyMod(T, p)
 
     primes = (p for p in prime_range_from(_PRIME_FLOOR) if (p - 1) % i == 0)
     mask, counts = _intersect(deg, ((p, samples(p)) for p in primes))

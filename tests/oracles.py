@@ -32,6 +32,19 @@ def schoolbook_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(out)
 
 
+def reduction_table_by_rows(f: list[int], p: int) -> list[list[int]]:
+    """Rows j = x^(n+j) mod f, j < n - 1, for f monic of degree n >= 2 as
+    ascending residues, one row at a time: row 0 is -f without its leading
+    1, and row j is x times row j - 1, its top coefficient folded back
+    through row 0."""
+    n = len(f) - 1
+    rows = [[-c % p for c in f[:n]]]
+    for _ in range(n - 2):
+        prev = rows[-1]
+        rows.append([(low + prev[-1] * r0) % p for low, r0 in zip([0] + prev[:-1], rows[0])])
+    return rows
+
+
 def primes_in(lo: int, hi: int) -> list[int]:
     """Primes in the half-open interval [lo, hi), ascending, by a sieve."""
     lo = max(lo, 2)

@@ -183,7 +183,7 @@ def test_certify_tower_stops_at_scan_cap(monkeypatch: pytest.MonkeyPatch) -> Non
         return roots(i, p)
 
     monkeypatch.setattr(factorization, "_primitive_ith_roots", spy)
-    monkeypatch.setattr(_gf, "gf_is_squarefree", lambda f, p: False)
+    monkeypatch.setattr(factorization, "_tower_sample_squarefree", lambda k, zbar, p, peel: False)
     assert factorization._certify_tower(12, 26) == (False, ())
     assert len(scanned) == cap
     assert all((p - 1) % 12 == 0 for p in scanned)
@@ -416,6 +416,82 @@ def test_every_peel_of_a_tower_cell_divides() -> None:
                 w = -pow(zbar, -1, p) % p
                 assert sum(pow(w, j, p) for j in range(k + 1)) % p == zbar, (i, k, p)
     assert peeled == 23
+
+
+def _gcd_says_squarefree(k: int, zbar: int, p: int, peel: bool) -> bool:
+    return _gf.gf_is_squarefree(factorization._chain_minus_root(k, zbar, p, peel), p)
+
+
+@pytest.mark.parametrize(
+    "i, k, p, zbar, peel, squarefree, unpeeled_squarefree",
+    [
+        pytest.param(3, 103, 103, 46, False, True, True, id="p-divides-k"),
+        pytest.param(3, 102, 103, 46, False, True, True, id="p-divides-k+1"),
+        pytest.param(4, 202, 101, 10, True, True, True, id="peeled-p-divides-k"),
+        pytest.param(6, 205, 103, 57, True, True, True, id="peeled-p-divides-k+1"),
+        pytest.param(3, 45, 103, 46, False, True, True, id="a-is-1"),  # zbar = k + 1
+        pytest.param(3, 148, 103, 46, True, True, True, id="peeled-a-is-1"),
+        pytest.param(3, 65, 103, 46, False, False, False, id="double-root"),
+        pytest.param(5, 158, 101, 95, True, False, False, id="peeled-double-root"),
+        pytest.param(3, 148, 103, 56, True, True, False, id="peeled-double-root-at-minus-1/zbar"),
+    ],
+)
+def test_tower_squarefree_rule_at_its_edges(
+    i: int, k: int, p: int, zbar: int, peel: bool, squarefree: bool, unpeeled_squarefree: bool
+) -> None:
+    # tower samples (the route read off k, the root primitive) on each branch
+    # of the rule: p | k, p | k + 1, a = 1, a double root, and a double root
+    # at -1/zbar, which the peel leaves simple; s - zbar itself beside each
+    assert zbar in factorization._primitive_ith_roots(i, p)
+    assert factorization._split_divides(i, k) == peel
+    for route, expected in ((peel, squarefree), (False, unpeeled_squarefree)):
+        assert _gcd_says_squarefree(k, zbar, p, route) == expected
+        assert factorization._tower_sample_squarefree(k, zbar, p, route) == expected
+
+
+def test_tower_squarefree_rule_matches_the_gcd_on_seeded_tower_samples() -> None:
+    # 60 unpeeled and 20 peeled cells of i = 3..30, k = 2..300, every
+    # primitive root at the first two primes p = 1 (mod i) of each
+    rng = random.Random(23)
+    cells = [(i, k) for i in range(3, 31) for k in range(2, 301)]
+    peeled = [c for c in cells if factorization._split_divides(*c)]
+    unpeeled = [c for c in cells if not factorization._split_divides(*c)]
+    samples = 0
+    for i, k in rng.sample(unpeeled, 60) + rng.sample(peeled, 20):
+        peel = factorization._split_divides(i, k)
+        for p in islice((q for q in prime_range_from(101) if (q - 1) % i == 0), 2):
+            for zbar in factorization._primitive_ith_roots(i, p):
+                samples += 1
+                got = factorization._tower_sample_squarefree(k, zbar, p, peel)
+                assert got == _gcd_says_squarefree(k, zbar, p, peel), (i, k, p, zbar)
+    assert samples > 1000
+
+
+def test_tower_squarefree_rule_matches_the_gcd_on_every_small_case() -> None:
+    # every zbar not 0 or 1 mod p in {7, 11, 13} and k < 3p, peeled too
+    # wherever -1/zbar is a root of s - zbar; every branch of the rule occurs
+    cases = set()
+    for p in (7, 11, 13):
+        for zbar in range(2, p):
+            w = -pow(zbar, -1, p) % p
+            for k in range(1, 3 * p):
+                for peel in (False, True):
+                    if peel and sum(pow(w, j, p) for j in range(k + 1)) % p != zbar:
+                        continue
+                    squarefree = _gcd_says_squarefree(k, zbar, p, peel)
+                    got = factorization._tower_sample_squarefree(k, zbar, p, peel)
+                    assert got == squarefree, (p, zbar, k, peel)
+                    if k % p == 0 or (k + 1) % p == 0:
+                        cases.add(("p | k" if k % p == 0 else "p | k + 1", peel, squarefree))
+                        continue
+                    a = (k + 1) * (zbar - 1) * pow(zbar * k, -1, p) % p
+                    double = a != 1 and pow(a, k, p) * (k + 1) % p == zbar
+                    branch = "a = 1" if a == 1 else "a = -1/zbar" if a == w else "a"
+                    cases.add((branch, peel, double))
+    assert {("p | k", False, True), ("p | k + 1", False, True), ("a = 1", False, False)} <= cases
+    assert {("p | k", True, True), ("p | k + 1", True, True), ("a = 1", True, False)} <= cases
+    # a double root of s - zbar that the peel leaves simple, and one it keeps
+    assert {("a = -1/zbar", False, True), ("a = -1/zbar", True, True), ("a", True, True)} <= cases
 
 
 def test_chain_minus_root_refuses_a_peel_that_does_not_divide() -> None:

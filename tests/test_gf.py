@@ -13,6 +13,7 @@ from sympy.polys.galoistools import gf_div, gf_gcd as sympy_gcd, gf_gcdex, gf_ir
 
 from amdigraph import _gf
 from amdigraph.factorization import _chain_minus_root, _primitive_ith_roots
+from oracles import reduction_table_by_rows
 
 PRIMES = (2, 3, 101, 997)
 
@@ -467,6 +468,34 @@ def test_frobenius_matrix_equals_the_product_route(p: int, f: list[int]) -> None
         assert lst(_gf.gf_trim(Q[j])) == lst(ctx.mul(_gf.gf_trim(Q[j - 1]), xp))
     a = arr(_trim([random.Random(n).randrange(p) for _ in range(n)]))
     assert lst(ctx.frobenius(a)) == lst(ctx.pow(a, p))
+
+
+def _table_cases() -> list:
+    """Dense monic f of degrees 2, 3, 48, 150 and one seeded degree at a
+    small prime, a prime near the scan's and the largest prime the kernel
+    accepts, and degree 300 at that prime, where the doubling's float64 sums
+    come nearest 2**53."""
+    rng = random.Random(48)
+    cases = []
+    for p in (3, 113, 1048573):
+        for n in (2, 3, 48, 150, rng.randrange(4, 120)):
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            cases.append(pytest.param(p, f, id=f"p{p}-dense-{n}"))
+    p = 1048573
+    f = [rng.randrange(p) for _ in range(300)] + [1]
+    cases.append(pytest.param(p, f, id=f"p{p}-dense-300"))
+    return cases
+
+
+@pytest.mark.parametrize("p, f", _table_cases())
+def test_reduction_table_by_doubling_equals_the_row_recurrence(p: int, f: list[int]) -> None:
+    n = len(f) - 1
+    table = _gf._reduction_table(arr(f), p)
+    assert table.dtype == np.int64 and table.shape == (n - 1, n)
+    assert table.tolist() == reduction_table_by_rows(f, p)
+    ctx = _gf.PolyMod(arr(f), p)
+    if any(f[2:n]):  # not a trinomial: PolyMod keeps this table
+        assert ctx._table.tolist() == table.tolist()
 
 
 def test_polymod_refuses_a_degree_past_the_float64_bound() -> None:
