@@ -31,16 +31,16 @@ The distinct-degree routine uses the Frobenius matrix Q (row j = x^(p*j)
 mod f), so repeated Frobenius steps are vector-matrix products, with gcd
 extraction batched in blocks and each block's product split on its own (von
 zur Gathen & Gerhard, Modern Computer Algebra, ch. 14; Shoup, J. Symb. Comp.
-20 (1995)); this is what makes desk-scale certification sweeps cheap.  Q is
-a Krylov sequence: M, the matrix of multiplication by x^p mod f (row i =
-x^i * x^p mod f), comes from a Toeplitz matrix of x^p, whose columns of
-degree n and above the fold or the table reduce in a few whole-array
-operations; then row j of Q is row j-1 times M, one float64 product per
-row, cast to int64 and reduced.  The first step needs no matrix: x^p mod f
-is kept on its own, as row 1.  A caller that asks only about factor degrees
-up to some u bounds the routine there: it stops after the iterate x^(p^u)
-and returns the unsplit rest, every factor of degree above u, as one entry,
-so a bound of 1 builds no matrix at all.
+20 (1995)); this is what makes desk-scale certification sweeps cheap.  Q,
+one float64 matrix, is a Krylov sequence: M, the matrix of multiplication
+by x^p mod f (row i = x^i * x^p mod f), comes from a Toeplitz matrix of
+x^p, whose columns of degree n and above the fold or the table reduce in a
+few whole-array operations; then row j of Q is row j-1 times M, one float64
+product per row, reduced mod p in int64.  The first step needs no matrix:
+x^p mod f is kept on its own, as row 1.  A caller that asks only about
+factor degrees up to some u bounds the routine there: it stops after the
+iterate x^(p^u) and returns the unsplit rest, every factor of degree above
+u, as one entry, so a bound of 1 builds no matrix at all.
 
 Euclidean division, remainders and (extended) gcds run one quotient loop,
 ``_euclid``, which steps through every division of Euclid inline, with no
@@ -236,19 +236,19 @@ def gf_gcd(a: GFArray, b: GFArray, p: int) -> GFArray:
 
 
 def gf_gcdext(a: GFArray, b: GFArray, p: int) -> tuple[GFArray, GFArray, GFArray]:
-    """Extended Euclid: (g, s, t) with s*a + t*b = g, g monic."""
+    """Extended Euclid for b != 0: (g, s, t) with s*a + t*b = g, g monic.  Only
+    s runs the recurrence over Euclid's quotients; t = (g - s*a)/b, exactly."""
+    if len(b) == 0:
+        raise ZeroDivisionError("gcdext needs a nonzero b")
     quotients: list[GFArray] = []
     r, n, _, _ = _euclid(a, b, p, quotients)
     g = _unpack(r, n, p)
-    if len(g) == 0:
-        raise ZeroDivisionError("gcdext of zero polynomials")
     s0, s1 = gf_one(), gf_zero()
-    t0, t1 = gf_zero(), gf_one()
     for q in quotients:
         s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
-        t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
     c = pow(int(g[-1]), p - 2, p)
-    return gf_scale(g, c, p), gf_scale(s0, c, p), gf_scale(t0, c, p)
+    g, s = gf_scale(g, c, p), gf_scale(s0, c, p)
+    return g, s, gf_divmod(gf_sub(g, gf_mul(s, a, p), p), b, p)[0]
 
 
 def gf_derivative(a: GFArray, p: int) -> GFArray:
@@ -299,8 +299,7 @@ class PolyMod:
         self.f = gf_monic(np.asarray(f, dtype=np.int64), p)
         self.n = n
         self._xp: GFArray | None = None
-        self._frob: GFArray | None = None
-        self._frob_rows: np.ndarray | None = None
+        self._frob: np.ndarray | None = None
         self._table: GFArray | None = None
         self._fold = (int(self.f[0]), int(self.f[1])) if n > 1 else (0, 0)
         if n > 1 and self.f[2:n].any():
@@ -344,24 +343,23 @@ class PolyMod:
             self._xp = self.pow(gf_x(), self.p)
         return self._xp
 
-    def frobenius_matrix(self) -> GFArray:
-        """Rows j = x^{p*j} mod f, j in [0, n), as int64, built once: row j
-        is row j-1 times M, the matrix of multiplication by x^p mod f, in
-        float64.  The float64 rows are kept beside Q for ``frobenius``."""
+    def frobenius_matrix(self) -> np.ndarray:
+        """Rows j = x^{p*j} mod f, j in [0, n), in the one float64 matrix that
+        ``frobenius`` multiplies by, built once: row j is row j-1 times M, the
+        matrix of multiplication by x^p mod f, reduced through an int64 row."""
         if self._frob is None:
             n, p = self.n, self.p
-            Q = np.zeros((n, n), dtype=np.int64)
+            Q = np.zeros((n, n))
             Q[0, 0] = 1
-            rows = Q.astype(np.float64)
             if n > 1:
                 M = self._times_x_to_p().astype(np.float64)
-                Q[1] = rows[1] = M[0]
+                Q[1] = M[0]
+                q = np.empty(n, dtype=np.int64)
                 for j in range(2, n):
-                    q = Q[j]
-                    q[...] = rows[j - 1] @ M
+                    q[...] = Q[j - 1] @ M
                     q %= p
-                    rows[j] = q
-            self._frob, self._frob_rows = Q, rows
+                    Q[j] = q
+            self._frob = Q
         return self._frob
 
     def _times_x_to_p(self) -> GFArray:
@@ -385,8 +383,7 @@ class PolyMod:
     def frobenius(self, a: GFArray) -> GFArray:
         """a -> a**p mod f: a times the matrix's first len(a) rows, in
         float64, exact as the rows are."""
-        self.frobenius_matrix()
-        r = (a @ self._frob_rows[: len(a)]).astype(np.int64)
+        r = (a @ self.frobenius_matrix()[: len(a)]).astype(np.int64)
         r %= self.p
         return gf_trim(r)
 

@@ -328,26 +328,19 @@ def _cmd_oracle(args) -> int:
     if g.n > MAX_D * (MAX_D + 1):  # verify_moore takes k dense n x n products
         raise _UsageError(f"{g.n} vertices, above the largest oracle gen instance ({MAX_D * (MAX_D + 1)})")
 
-    if args.oracle_cmd == "check":
-        try:
-            check = verify_moore(g, d, k)
-        except (NotDiregular, OrderMismatch, NotAlmostMoore, StructuralViolation) as exc:
-            print(f"FAIL {type(exc).__name__}: {exc}")
-            return 3
-        structure = check.cycle_structure()
-        print(f"OK ({d},{k})-digraph on {g.n} vertices")
-        print(f"self-repeats: {len(check.self_repeats)}")
-        print(f"repeat cycle structure: {structure.serialize()}")
-        return 0
-
-    # report: the full structural battery
+    # check: verification alone; report: the full structural battery
     try:
-        rows = run_battery(g, d, k)
+        result = (verify_moore if args.oracle_cmd == "check" else run_battery)(g, d, k)
     except (NotDiregular, OrderMismatch, NotAlmostMoore, StructuralViolation) as exc:
         print(f"FAIL {type(exc).__name__}: {exc}")
         return 3
-    failed = [name for name, ok, _ in rows if not ok]
-    for name, ok, detail in rows:
+    if args.oracle_cmd == "check":
+        print(f"OK ({d},{k})-digraph on {g.n} vertices")
+        print(f"self-repeats: {len(result.self_repeats)}")
+        print(f"repeat cycle structure: {result.cycle_structure().serialize()}")
+        return 0
+    failed = [name for name, ok, _ in result if not ok]
+    for name, ok, detail in result:
         suffix = f"  {detail}" if detail else ""
         print(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")
     if failed:

@@ -32,7 +32,7 @@ users:
   the residue of zeta at one of the phi(i) primes above p, so the factor
   degrees of s - zbar over F_p are a sound sample for degree-set
   certification of s - zeta at degree k instead of degree phi(i)*k.  This is
-  what makes the k <= 200 sweeps cheap.  Each sample's DDF runs modulo the
+  what makes the k <= 300 sweeps cheap.  Each sample's DDF runs modulo the
   trinomial T = (x - 1)(s - zbar), which PolyMod reduces by a fold.  A
   sample is used only when squarefree, which needs no gcd: with
   a = (k + 1)(zbar - 1)/(zbar*k), s - zbar has a repeated root exactly when

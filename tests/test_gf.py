@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -45,9 +46,9 @@ def ref_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
         c = r[-1] * inv % p
         shift = len(r) - len(b)
         q[shift] = c
-        for j, y in enumerate(b):
-            r[shift + j] = (r[shift + j] - c * y) % p
-        r = _trim(r)
+        r[shift:] = [(x - c * y) % p for x, y in zip(r[shift:], b)]
+        while r and r[-1] == 0:
+            r.pop()
     return _trim(q), r
 
 
@@ -60,12 +61,40 @@ def ref_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
+def _pack(a: list[int]) -> int:
+    return int.from_bytes(array("Q", a).tobytes(), "little")
+
+
+def _unpack(x: int, n: int) -> list[int]:
+    return list(array("Q", x.to_bytes(8 * n, "little")))
+
+
+@functools.lru_cache(maxsize=8)
+def _packed_table(f: tuple[int, ...], p: int) -> list[int]:
+    return [_pack(row) for row in reduction_table_by_rows(list(f), p)]
+
+
 def ref_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a**e mod f by square-and-multiply on Python ints, one 64-bit slot per
+    coefficient: a product is one Kronecker product, reduced by the rows
+    x^(n+j) mod f of ``reduction_table_by_rows``, each slot a sum of at most
+    n terms below p**2."""
+    n = len(f) - 1
+    assert n * p * p < 2**64
+    rows = _packed_table(tuple(f), p)
+
+    def mulmod(x: list[int], y: list[int]) -> list[int]:
+        if not x or not y:
+            return []
+        c = [s % p for s in _unpack(_pack(x) * _pack(y), len(x) + len(y) - 1)]
+        acc = _pack(c[:n]) + sum(h * row for h, row in zip(c[n:], rows))
+        return _trim([s % p for s in _unpack(acc, n)])
+
     r, a = [1], ref_divmod(a, f, p)[1]
     while e:
         if e & 1:
-            r = ref_divmod(ref_mul(r, a, p), f, p)[1]
-        a = ref_divmod(ref_mul(a, a, p), f, p)[1]
+            r = mulmod(r, a)
+        a = mulmod(a, a)
         e >>= 1
     return r
 
@@ -461,7 +490,7 @@ def test_frobenius_matrix_equals_the_product_route(p: int, f: list[int]) -> None
     Q = ctx.frobenius_matrix()
     n = len(f) - 1
     xp = ctx.x_to_p()
-    assert Q.dtype == np.int64 and Q.shape == (n, n)
+    assert Q.dtype == np.float64 and Q.shape == (n, n)  # the matrix `frobenius` reads
     assert lst(Q[0]) == [1] + [0] * (n - 1)
     assert lst(_gf.gf_trim(Q[1])) == lst(xp)
     for j in range(2, n):
