@@ -5,12 +5,13 @@ systems) works with monic-up-to-sign integer polynomials, so coefficients
 are arbitrary-precision ints throughout and no rational arithmetic appears.
 
 Polynomials are dense: ``coeffs[j]`` is the coefficient of ``x**j`` and the
-last entry is nonzero (the zero polynomial is the empty tuple).  Degrees stay
-below ~2000 at the scales this package targets, where a dense representation
-is both simpler and fast enough.
+last entry is nonzero (the zero polynomial is the empty tuple).  The largest
+is F_{i,k} = Phi_i(1 + x + ... + x^k) for i <= 30, k <= 300, of degree at most
+phi(29) * 300 = 8400, where a dense representation is simple and fast enough.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -36,16 +37,14 @@ def _trimmed(cs: Iterable[int]) -> tuple[int, ...]:
     return cs[:n]
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class IntPoly:
     """Immutable dense polynomial with integer coefficients (ascending)."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
         object.__setattr__(self, "coeffs", _trimmed(coeffs))
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("IntPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -56,10 +55,6 @@ class IntPoly:
     @staticmethod
     def one() -> "IntPoly":
         return IntPoly((1,))
-
-    @staticmethod
-    def x() -> "IntPoly":
-        return IntPoly((0, 1))
 
     @staticmethod
     def constant(c: int) -> "IntPoly":
@@ -90,35 +85,8 @@ class IntPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "IntPoly(0)"
-        terms = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
-            if c == 0:
-                continue
-            if j == 0:
-                terms.append(f"{c:+d}")
-            else:
-                xs = "x" if j == 1 else f"x^{j}"
-                if c == 1:
-                    terms.append(f"+{xs}")
-                elif c == -1:
-                    terms.append(f"-{xs}")
-                else:
-                    terms.append(f"{c:+d}*{xs}")
-        s = "".join(terms).lstrip("+")
-        return f"IntPoly({s})"
 
     # -- ring operations ---------------------------------------------------
 

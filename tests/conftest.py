@@ -1,8 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from amdigraph import factorization
+
+# Property tests draw the same examples on every run, so a test's run time
+# and outcome do not drift between runs; per-test max_examples and deadline
+# still apply.
+settings.register_profile("fixed", derandomize=True)
+settings.load_profile("fixed")
 
 
 @pytest.fixture(autouse=True)

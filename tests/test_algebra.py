@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,8 +45,19 @@ def test_intpoly_basic_accessors() -> None:
     assert IntPoly.zero().degree == -1
 
 
+def test_intpoly_value_semantics() -> None:
+    p = IntPoly((1, 2))
+    with pytest.raises(AttributeError):
+        p.coeffs = (3,)
+    assert IntPoly((1,)) != (1,)
+    assert hash(IntPoly([1, 2, 0])) == hash(p)
+    assert {p, IntPoly((1, 2, 0)), IntPoly(iter([1, 2]))} == {p}
+    q = IntPoly(np.array([4, 0, -5, 0, 0], dtype=np.int64))
+    assert q.coeffs == (4, 0, -5)
+    assert all(type(c) is int for c in q.coeffs)
+
+
 def test_intpoly_constructors() -> None:
-    assert IntPoly.x().coeffs == (0, 1)
     assert IntPoly.one().coeffs == (1,)
     assert IntPoly.monomial(3).coeffs == (0, 0, 0, 1)
     assert IntPoly.monomial(2, -7).coeffs == (0, 0, -7)

@@ -281,6 +281,19 @@ def test_sweep_parallel_jobs_matches_serial(tmp_path: Path, capsys: pytest.Captu
     assert serial.read_text() == parallel.read_text()
 
 
+def test_conjecture_parallel_jobs_matches_serial(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
+    serial, parallel = tmp_path / "s", tmp_path / "p"
+    for jobs, out in (("1", serial), ("2", parallel)):
+        assert main(["conjecture", "--i", "3..5", "--k", "5..12", "--deterministic",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in serial.iterdir())
+    assert len(names) == 3 * 8 + 1 and "summary.json" in names
+    assert sorted(p.name for p in parallel.iterdir()) == names
+    for name in names:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
 def test_jobs_below_one_exits_one(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
     kept = tmp_path / "kept.csv"
     kept.write_text("kept\n")
