@@ -1,6 +1,9 @@
 """Dense polynomial arithmetic over prime fields F_p.
 
-Internal kernel behind degree-set certification and Hensel factoring.
+Internal kernel behind degree-set certification and Hensel factoring.  Only
+the Hensel route reaches gf_gcdext (b != 0), gf_squarefree_list (every
+multiplicity below p), gf_equal_degree_split (f monic and squarefree, every
+factor of degree d, p odd) and gf_factor (f squarefree, p odd).
 Polynomials are numpy int64 arrays, ascending coefficients, residues in
 [0, p), trimmed.
 
@@ -123,17 +126,10 @@ def gf_mul(a: GFArray, b: GFArray, p: int) -> GFArray:
     return gf_trim(np.convolve(a, b) % p)
 
 
-def gf_scale(a: GFArray, c: int, p: int) -> GFArray:
-    c %= p
-    if c == 0:
-        return gf_zero()
-    return (a * c) % p
-
-
 def gf_monic(a: GFArray, p: int) -> GFArray:
     if len(a) == 0 or a[-1] == 1:
         return a
-    return gf_scale(a, pow(int(a[-1]), p - 2, p), p)
+    return a * pow(int(a[-1]), p - 2, p) % p
 
 
 _SLOT = np.dtype("<i8")
@@ -247,13 +243,11 @@ def gf_gcdext(a: GFArray, b: GFArray, p: int) -> tuple[GFArray, GFArray, GFArray
     for q in quotients:
         s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
     c = pow(int(g[-1]), p - 2, p)
-    g, s = gf_scale(g, c, p), gf_scale(s0, c, p)
+    g, s = g * c % p, s0 * c % p
     return g, s, gf_divmod(gf_sub(g, gf_mul(s, a, p), p), b, p)[0]
 
 
 def gf_derivative(a: GFArray, p: int) -> GFArray:
-    if len(a) <= 1:
-        return gf_zero()
     return gf_trim((a[1:] * np.arange(1, len(a), dtype=np.int64)) % p)
 
 
@@ -388,38 +382,27 @@ class PolyMod:
         return gf_trim(r)
 
 
-def _pth_root(a: GFArray, p: int) -> GFArray:
-    # a is a polynomial in x**p; in F_p[x] the root just decimates indices
-    return gf_trim(a[::p].copy())
-
-
 def gf_squarefree_list(f: GFArray, p: int) -> list[tuple[GFArray, int]]:
-    """Squarefree decomposition: list of (monic squarefree factor, multiplicity).
-
-    Yun/Musser adapted to characteristic p (p-th powers handled by root
-    extraction).  The unit content is dropped; input must be nonzero.
-    """
+    """(monic squarefree factor, multiplicity) pairs of nonzero f, units dropped,
+    every multiplicity below p: one pass of Yun/Musser's loop (von zur Gathen &
+    Gerhard, 14.6).  A multiplicity that p divides stays in d: ValueError."""
     if len(f) == 0:
         raise ValueError("zero polynomial")
     f = gf_monic(f, p)
     out: list[tuple[GFArray, int]] = []
-    e = 1
-    while gf_degree(f) > 0:
-        d = gf_gcd(f, gf_derivative(f, p), p)
-        w = gf_divmod(f, d, p)[0]
-        i = 1
-        while gf_degree(w) > 0:
-            y = gf_gcd(w, d, p)
-            z = gf_divmod(w, y, p)[0]
-            if gf_degree(z) > 0:
-                out.append((z, i * e))
-            w = y
-            d = gf_divmod(d, y, p)[0]
-            i += 1
-        if gf_degree(d) == 0:
-            break
-        f = _pth_root(d, p)
-        e *= p
+    d = gf_gcd(f, gf_derivative(f, p), p)
+    w = gf_divmod(f, d, p)[0]
+    i = 1
+    while gf_degree(w) > 0:
+        y = gf_gcd(w, d, p)
+        z = gf_divmod(w, y, p)[0]
+        if gf_degree(z) > 0:
+            out.append((z, i))
+        w = y
+        d = gf_divmod(d, y, p)[0]
+        i += 1
+    if gf_degree(d) > 0:
+        raise ValueError(f"a multiplicity divisible by p = {p}")
     return out
 
 
@@ -515,8 +498,6 @@ def gf_factor(f: GFArray, p: int) -> list[GFArray]:
 
     Deterministic: the equal-degree randomness is seeded from (f, p).
     """
-    if len(f) == 0:
-        raise ValueError("zero polynomial")
     if p == 2:
         raise ValueError("gf_factor expects an odd prime")
     seed = hash((p,) + tuple(int(c) for c in f)) & 0xFFFFFFFF

@@ -1,7 +1,8 @@
 """Command-line surface: decisions, sweeps, factor reports, digraph oracle.
 
-Exit codes: 0 definite verdict / success, 1 usage error, 2 Unknown or
-Unresolved verdict, 3 failed oracle assertion.  All output files are
+Exit codes: 0 definite verdict / success, 1 usage error, 2 a verdict left
+open (an Unknown decide or sweep row, a conjecture cell that is not Consistent,
+an Unresolved factor report), 3 failed oracle assertion.  All output files are
 byte-deterministic under --deterministic, which zeroes the wall-clock
 fields (generated_at, runtime_ms).
 """
@@ -261,7 +262,7 @@ def _cmd_conjecture(args) -> int:
         f" {counts['Inconsistent']} Inconsistent,"
         f" {counts['Unresolved']} Unresolved"
     )
-    return 0 if counts["Inconsistent"] == 0 else 2
+    return 0 if counts["Consistent"] == len(rows) else 2
 
 
 def _sweep_cell(cell: tuple[int, int]) -> tuple[int, int, str, str, int | None, int]:
@@ -286,7 +287,7 @@ def _cmd_sweep(args) -> int:
     write("\n".join(lines) + "\n")
     if args.out is not None:
         print(f"{len(rows)} cells -> {args.out}")
-    return 0
+    return 0 if all(row[2] != "Unknown" for row in rows) else 2
 
 
 def _cmd_factor(args) -> int:

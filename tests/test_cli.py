@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amdigraph.cli as cli
+import amdigraph.factorization as factorization
 import amdigraph.sieve as sieve
 from amdigraph.cli import main, parse_certificate, serialize_certificate
 from amdigraph.digraphs import Digraph, gen_line_digraph_complete
+from amdigraph.factorization import conjecture_verdict
 from amdigraph.sieve import Certificate, decide
 
 
@@ -124,6 +126,28 @@ def test_decide_unknown_exits_two(
     assert main(["decide", "4", "6"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "Unknown"
+
+
+def test_sweep_with_an_unknown_row_exits_two(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    fabricated = replace(decide(4, 6), verdict="Unknown", assumptions=())
+    monkeypatch.setattr(cli, "decide", lambda d, k: fabricated if (d, k) == (4, 6) else decide(d, k))
+    assert main(["sweep", "--d", "4", "--k", "5..7", "--deterministic"]) == 2
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == [decide(4, 5).verdict, "Unknown", decide(4, 7).verdict]
+
+
+def test_conjecture_with_an_unresolved_cell_exits_two(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # (5, 12) is factored in full; (5, 13) and (5, 14) take the tower, which
+    # here certifies nothing
+    monkeypatch.setattr(factorization, "_certify_tower", lambda i, k: (False, (101, 131)))
+    monkeypatch.setattr(cli, "conjecture_verdict", conjecture_verdict.__wrapped__)  # past the cache
+    assert main(["conjecture", "--i", "5", "--k", "12..14"]) == 2
+    out = capsys.readouterr().out
+    assert out == "i=5..5 k=12..14: 3 cells, 1 Consistent, 0 Inconsistent, 2 Unresolved\n"
 
 
 def test_decide_out_file_and_round_trip(tmp_path: Path) -> None:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_div, gf_gcd as sympy_gcd, gf_gcdex, gf_irreducible_p
+from sympy.polys.galoistools import gf_div, gf_gcd as sympy_gcd, gf_gcdex, gf_irreducible_p, gf_sqf_list
 
 from amdigraph import _gf
 from amdigraph.factorization import _chain_minus_root, _primitive_ith_roots
@@ -572,3 +572,35 @@ def test_euclid_loop_matches_references_at_every_quotient_length(case) -> None:
     total = [(x + y) % p for x, y in zip(sa + [0] * (n - len(sa)), tb + [0] * (n - len(tb)))]
     assert _trim(total) == g
     assert len(s) <= max(len(b) - len(g), 0) and len(t) <= max(len(a) - len(g), 1)
+
+
+@pytest.mark.parametrize("p", (101, 113))
+@pytest.mark.parametrize("seed", range(6))
+def test_squarefree_list_matches_sympy(p: int, seed: int) -> None:
+    # a unit times one to four distinct irreducibles of degree 1..4, each of
+    # multiplicity 1..4, so factors of one multiplicity come grouped
+    rng = random.Random(100 * p + seed)
+    pool = [g for d in (1, 2, 3, 4) for g in _irreducibles(d, p)]
+    f = [rng.randrange(1, p)]
+    for g in rng.sample(pool, rng.randint(1, 4)):
+        for _ in range(rng.randint(1, 4)):
+            f = ref_mul(f, g, p)
+    got = sorted((lst(z), e) for z, e in _gf.gf_squarefree_list(arr(f), p))
+    _, want = gf_sqf_list(sympy_dense(f), p, ZZ)
+    assert got == sorted((from_sympy(z), e) for z, e in want)
+
+
+def test_squarefree_list_refuses_a_multiplicity_of_p() -> None:
+    p = 101
+    f = [2, 1]
+    for _ in range(p):
+        f = ref_mul(f, [1, 1], p)
+    with pytest.raises(ValueError, match="multiplicity"):
+        _gf.gf_squarefree_list(arr(f), p)  # (x+1)^101 * (x+2)
+
+
+def test_gf_factor_refuses_a_repeated_factor() -> None:
+    p = 101
+    f = ref_mul(ref_mul([1, 1], [1, 1], p), [2, 1], p)
+    with pytest.raises(ValueError, match="squarefree"):
+        _gf.gf_factor(arr(f), p)  # (x+1)^2 * (x+2)
