@@ -6,7 +6,8 @@ A (d,k)-digraph on n = d + d^2 + ... + d^k vertices satisfies
 
 for a permutation matrix P; the permutation r behind P (the repeat map) is a
 digraph automorphism.  Everything here is exact integer arithmetic on dense
-matrices; instances are desk-scale (n <= 30), so n x n powers are trivial.
+matrices; instances are desk-scale (n <= 156 = 12 * 13, the largest that
+the CLI admits), so n x n powers are cheap.
 
 Structural checks verified on instances: (r,k)-closure and diregularity of
 the fixed-point subdigraphs H_alpha, the in-neighbourhood case analysis
@@ -16,7 +17,7 @@ trace correspondence.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -28,7 +29,6 @@ from .structures import CycleStructure
 __all__ = [
     "Digraph",
     "MooreCheck",
-    "InducedSubdigraph",
     "NotDiregular",
     "OrderMismatch",
     "NotAlmostMoore",
@@ -145,13 +145,22 @@ class MooreCheck:
     d: int
     k: int
     P: tuple[int, ...]  # repeat permutation, P[v] = r(v)
-    orders: tuple[int, ...]  # ord_r(v) per vertex
-    self_repeats: tuple[int, ...]
 
     @cached_property
     def cycles(self) -> list[tuple[int, ...]]:
         """The cycles of r, decomposed once per check."""
         return _cycles(self.P)
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        """ord_r(v) per vertex: the length of the cycle through v."""
+        order = {v: len(c) for c in self.cycles for v in c}
+        return tuple(order[v] for v in range(len(self.P)))
+
+    @property
+    def self_repeats(self) -> tuple[int, ...]:
+        """The vertices r fixes, ascending."""
+        return tuple(c[0] for c in self.cycles if len(c) == 1)
 
     @property
     def period(self) -> int:
@@ -164,7 +173,7 @@ class MooreCheck:
 
     def cycle_structure(self) -> CycleStructure:
         counts = Counter(len(c) for c in self.cycles)
-        return CycleStructure.from_map(len(self.P), self.k, counts)
+        return CycleStructure.from_map(len(self.P), counts)
 
 
 def _cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -224,22 +233,20 @@ def verify_moore(g: Digraph, d: int, k: int) -> MooreCheck:
         raise NotAlmostMoore("residual entries outside {0,1}")
     if (R.sum(axis=1) != 1).any() or (R.sum(axis=0) != 1).any():
         raise NotAlmostMoore("residual is not a permutation matrix")
-    P = tuple(int(np.argmax(R[v])) for v in range(g.n))
-    cycles = _cycles(P)
+    check = MooreCheck(d, k, tuple(int(np.argmax(R[v])) for v in range(g.n)))
+    P = check.P
 
     arcs = {(v, w) for v, nbrs in enumerate(g.out) for w in nbrs}
     for v, w in arcs:
         if (P[v], P[w]) not in arcs:
             raise StructuralViolation(f"r is not an automorphism at arc ({v},{w})")
-    fixed = tuple(c[0] for c in cycles if len(c) == 1)
     for ell, tr in enumerate(traces[:-1], start=1):
         if tr != 0:
             raise StructuralViolation(f"Tr(A^{ell}) = {tr} != 0")
-    if traces[-1] != len(fixed):
-        raise StructuralViolation(f"Tr(A^{k}) = {traces[-1]} != {len(fixed)}")
-
-    orders = {v: len(c) for c in cycles for v in c}
-    return MooreCheck(d, k, P, tuple(orders[v] for v in range(g.n)), fixed)
+    fixed = len(check.self_repeats)
+    if traces[-1] != fixed:
+        raise StructuralViolation(f"Tr(A^{k}) = {traces[-1]} != {fixed}")
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +254,12 @@ def verify_moore(g: Digraph, d: int, k: int) -> MooreCheck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InducedSubdigraph:
-    """Induced subdigraph keyed by its parent-graph vertex set."""
-
-    vertices: tuple[int, ...]  # ascending parent indices
-    digraph: Digraph  # relabelled to 0..len(vertices)-1
-
-
-def _induce(g: Digraph, vertices: tuple[int, ...]) -> InducedSubdigraph:
+def _induce(g: Digraph, vertices: tuple[int, ...]) -> Digraph:
+    """The subdigraph induced on ascending vertices, relabelled 0, 1, ..."""
     pos = {v: i for i, v in enumerate(vertices)}
-    out = tuple(
-        tuple(pos[w] for w in g.out[v] if w in pos) for v in vertices
+    return Digraph(
+        len(vertices), tuple(tuple(pos[w] for w in g.out[v] if w in pos) for v in vertices)
     )
-    return InducedSubdigraph(vertices, Digraph(len(vertices), out))
 
 
 def _odd_part(x: int) -> int:
@@ -269,68 +268,53 @@ def _odd_part(x: int) -> int:
     return x
 
 
-def build_H_alpha(g: Digraph, check: MooreCheck, alpha: int) -> InducedSubdigraph:
-    """Induced subdigraph on {v : ord_r(v) | 2^t * alpha for some t >= 0},
-    equivalently on vertices whose order has odd part dividing that of alpha."""
+def build_H_alpha(g: Digraph, check: MooreCheck, alpha: int) -> tuple[int, ...]:
+    """The ascending vertex set of H_alpha: {v : ord_r(v) | 2^t * alpha for
+    some t >= 0}, the vertices whose order has odd part dividing alpha's."""
     if alpha < 2:
         raise ValueError("build_H_alpha expects alpha > 1")
     target = _odd_part(alpha)
-    members = tuple(
-        v for v in range(g.n) if target % _odd_part(check.orders[v]) == 0
-    )
-    return _induce(g, members)
+    orders = check.orders
+    return tuple(v for v in range(g.n) if target % _odd_part(orders[v]) == 0)
 
 
-def _walks_from(g: Digraph, u: int, max_len: int) -> list[tuple[int, ...]]:
-    """All walks of length 1..max_len starting at u, as vertex tuples."""
-    walks = []
-    frontier = [(u,)]
-    for _ in range(max_len):
-        nxt = []
-        for walk in frontier:
-            for w in g.out[walk[-1]]:
-                nxt.append(walk + (w,))
-        walks += nxt
-        frontier = nxt
-    return walks
+def _walk_sums(A: np.ndarray, k: int) -> np.ndarray:
+    """A + A^2 + ... + A^k: entry (u, v) counts the walks u -> v of length 1..k."""
+    total = power = A
+    for _ in range(k - 1):
+        power = power @ A
+        total = total + power
+    return total
 
 
-def check_rk_closed(
-    g: Digraph, h: InducedSubdigraph, check: MooreCheck, k: int
-) -> bool:
-    """True iff r(h) is inside h and, for distinct u,v in h, every walk of
-    length <= k from u to v has all its interior vertices inside h.  Walk
-    counts are cross-checked against I + A + ... + A^k = J + P: the target
-    r(u) has exactly two such walks, every other target exactly one."""
-    hset = set(h.vertices)
-    if any(check.P[v] not in hset for v in h.vertices):
+def _leaving_walk(
+    g: Digraph, k: int, inside: tuple[int, ...], ends: Collection[int]
+) -> tuple[int, int] | None:
+    """The first distinct u, v among ends (a subset of the ascending inside)
+    joined by a walk of length 1..k that leaves inside, or None.  The walks
+    inside a set are some of all walks, so equal counts mean none leaves."""
+    A = g.adjacency()
+    ix = np.ix_(inside, inside)
+    gap = _walk_sums(A, k)[ix] - _walk_sums(A[ix], k)
+    for i, j in zip(*np.nonzero(gap)):
+        if i != j and inside[i] in ends and inside[j] in ends:
+            return inside[i], inside[j]
+    return None
+
+
+def check_rk_closed(g: Digraph, h: tuple[int, ...], check: MooreCheck, k: int) -> bool:
+    """True iff r(h) is inside the vertex set h and, for distinct u,v in h,
+    every walk of length <= k from u to v has all its vertices inside h."""
+    hset = set(h)
+    if any(check.P[v] not in hset for v in h):
         return False
-    for u in h.vertices:
-        seen: dict[int, int] = {}
-        for walk in _walks_from(g, u, k):
-            v = walk[-1]
-            if v == u:
-                continue
-            seen[v] = seen.get(v, 0) + 1
-            if v in hset and any(w not in hset for w in walk[1:-1]):
-                return False
-        for v in range(g.n):
-            if v == u:
-                continue
-            expect = 2 if check.P[u] == v else 1
-            if seen.get(v, 0) != expect:
-                raise StructuralViolation(
-                    f"{seen.get(v, 0)} walks of length <= {k} from {u} to {v},"
-                    f" expected {expect}"
-                )
-    return True
+    return _leaving_walk(g, k, h, hset) is None
 
 
 @dataclass(frozen=True)
 class SubdigraphReport:
     """Assertion record for one H_alpha against the subdigraph theorem."""
 
-    alpha: int
     vertices: tuple[int, ...]
     is_cycle_case: bool
     d_prime: int | None
@@ -359,27 +343,22 @@ def check_subdigraph_theorem(
     """H_alpha is either the self-repeat cycle C_k, or a (d',k)-digraph with
     d' <= d: diregular, of order d' + ... + d'^k, with diameter exactly k."""
     h = build_H_alpha(g, check, alpha)
-    failures = []
-    try:
-        if not check_rk_closed(g, h, check, check.k):
-            failures.append("rk_closed")
-    except StructuralViolation as exc:
-        failures.append(f"walk_counts({exc})")
-    sub = h.digraph
+    failures = [] if check_rk_closed(g, h, check, check.k) else ["rk_closed"]
+    sub = _induce(g, h)
     cycle_case = (
-        bool(h.vertices)
-        and set(h.vertices) == set(check.self_repeats)
+        bool(h)
+        and set(h) == set(check.self_repeats)
         and all(len(nbrs) == 1 for nbrs in sub.out)
     )
     d_prime: int | None = None
     diameter = None
-    if not h.vertices:
+    if not h:
         # possible only when the instance has no self-repeats at all
         # (otherwise the self-repeat cycle sits inside every H_alpha)
         if check.self_repeats:
             failures.append("empty_despite_self_repeats")
     elif cycle_case:
-        if len(h.vertices) != check.k:
+        if len(h) != check.k:
             failures.append("self_repeat_cycle_order")
         try:
             shape = [len(c) for c in _cycles(tuple(nbrs[0] for nbrs in sub.out))]
@@ -400,9 +379,7 @@ def check_subdigraph_theorem(
             diameter = _diameter(sub)
             if diameter != check.k:
                 failures.append("diameter")
-    return SubdigraphReport(
-        alpha, h.vertices, cycle_case, d_prime, diameter, tuple(failures)
-    )
+    return SubdigraphReport(h, cycle_case, d_prime, diameter, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -526,21 +503,26 @@ def profile_in_neighborhood(
 
 def check_fixed_walks(g: Digraph, check: MooreCheck) -> bool:
     """For every automorphism phi = r^m and every pair of distinct phi-fixed
-    vertices u, v: each walk of length <= k from u to v is fixed by phi^2."""
-    walk_table = [_walks_from(g, u, check.k) for u in range(g.n)]
+    vertices u, v: each walk of length <= k from u to v is fixed by phi^2,
+    that is, lies inside the phi^2-fixed vertices."""
     for m in range(1, check.period + 1):
         phi = check.r_power(m)
-        phi2 = tuple(phi[phi[v]] for v in range(g.n))
-        fixed = [v for v in range(g.n) if phi[v] == v]
-        for u in fixed:
-            for walk in walk_table[u]:
-                if walk[-1] != u and phi[walk[-1]] == walk[-1]:
-                    if tuple(phi2[w] for w in walk) != walk:
-                        raise StructuralViolation(
-                            f"walk {walk} joins r^{m}-fixed vertices but moves"
-                            f" under the square"
-                        )
+        fixed2 = tuple(v for v in range(g.n) if phi[phi[v]] == v)
+        pair = _leaving_walk(g, check.k, fixed2, {v for v in fixed2 if phi[v] == v})
+        if pair is not None:
+            raise StructuralViolation(
+                f"a walk of length <= {check.k} from {pair[0]} to {pair[1]} joins"
+                f" r^{m}-fixed vertices but moves under the square"
+            )
     return True
+
+
+def _walks_from(g: Digraph, u: int, length: int) -> list[tuple[int, ...]]:
+    """All walks of exactly `length` arcs starting at u, as vertex tuples."""
+    walks = [(u,)]
+    for _ in range(length):
+        walks = [walk + (w,) for walk in walks for w in g.out[walk[-1]]]
+    return walks
 
 
 def r_set_sizes(g: Digraph, check: MooreCheck, ell: int, js: Iterable[int]) -> list[int]:
@@ -561,8 +543,7 @@ def r_set_sizes(g: Digraph, check: MooreCheck, ell: int, js: Iterable[int]) -> l
         raise ValueError("j must be >= 1")
     Apow = np.linalg.matrix_power(g.adjacency(), ell)
     ends = [
-        Counter(walk[-1] for walk in _walks_from(g, u, ell) if len(walk) == ell + 1)
-        for u in range(g.n)
+        Counter(walk[-1] for walk in _walks_from(g, u, ell)) for u in range(g.n)
     ]
     sizes = []
     for j in js:
@@ -611,9 +592,9 @@ def run_battery(g: Digraph, d: int, k: int) -> list[tuple[str, bool, str]]:
     seen_vertex_sets = set()
     for alpha in range(2, g.n + 1):
         h = build_H_alpha(g, check, alpha)
-        if h.vertices in seen_vertex_sets:
+        if h in seen_vertex_sets:
             continue
-        seen_vertex_sets.add(h.vertices)
+        seen_vertex_sets.add(h)
         report = check_subdigraph_theorem(g, check, alpha)
         shape = "C_k" if report.is_cycle_case else f"d'={report.d_prime}"
         rows.append(

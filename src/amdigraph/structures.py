@@ -24,7 +24,6 @@ class CycleStructure:
     """Sparse cycle type of a permutation on N vertices: entries (j, m_j)."""
 
     N: int
-    k: int
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -43,8 +42,8 @@ class CycleStructure:
             raise ValueError("entries must be sorted by cycle length")
 
     @classmethod
-    def from_map(cls, N: int, k: int, mapping: Mapping[int, int]) -> "CycleStructure":
-        return cls(N, k, tuple(sorted((j, m) for j, m in mapping.items() if m)))
+    def from_map(cls, N: int, mapping: Mapping[int, int]) -> "CycleStructure":
+        return cls(N, tuple(sorted((j, m) for j, m in mapping.items() if m)))
 
     def serialize(self) -> str:
         return " ".join(f"{j}:{m}" for j, m in self.entries)
@@ -77,6 +76,6 @@ def enumerate_structures(d_prime: int, k: int) -> list[CycleStructure]:
         # m_1 = k is pinned and one alpha-cycle is reserved, so m_alpha >= 1
         for vec in _vectors(family, N - k - alpha):
             vec[alpha] += 1
-            out.append(CycleStructure.from_map(N, k, {1: k, **vec}))
+            out.append(CycleStructure.from_map(N, {1: k, **vec}))
     out.sort(key=lambda s: [dict(s.entries).get(j, 0) for j in range(2, d_prime)])
     return out

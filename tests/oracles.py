@@ -124,11 +124,46 @@ def structures_by_filter(d_prime: int, k: int) -> list[CycleStructure]:
     N = sum(d_prime**t for t in range(1, k + 1))
     out = []
     for vec in _vectors(list(range(2, d_prime)), N - k):
-        s = CycleStructure.from_map(N, k, {1: k, **vec})
+        s = CycleStructure.from_map(N, {1: k, **vec})
         ok, alpha = is_two_critical(s)
         if ok and (d_prime - 1) % alpha == 0:
             out.append(s)
     return out
+
+
+def walks_up_to(out: tuple[tuple[int, ...], ...], k: int) -> list[tuple[int, ...]]:
+    """Every walk of length 1..k along the out-lists, as vertex tuples."""
+    walks, frontier = [], [(u,) for u in range(len(out))]
+    for _ in range(k):
+        frontier = [walk + (w,) for walk in frontier for w in out[walk[-1]]]
+        walks += frontier
+    return walks
+
+
+def rk_closed_by_walks(out: tuple[tuple[int, ...], ...], h: tuple[int, ...], P: tuple[int, ...], k: int) -> bool:
+    """(r,k)-closure from its definition: r maps h into h, and every walk of
+    length 1..k between distinct vertices of h has all its vertices in h."""
+    return all(P[v] in h for v in h) and all(
+        set(walk) <= set(h)
+        for walk in walks_up_to(out, k)
+        if walk[0] != walk[-1] and walk[0] in h and walk[-1] in h
+    )
+
+
+def fixed_walks_by_walks(out: tuple[tuple[int, ...], ...], P: tuple[int, ...], k: int) -> bool:
+    """The walk-fixing property from its definition: for each power phi of
+    r up to the identity, every walk of length 1..k between distinct
+    phi-fixed vertices is mapped to itself, vertex by vertex, by phi^2."""
+    walks = walks_up_to(out, k)
+    phi = P
+    while True:
+        for walk in walks:
+            u, v = walk[0], walk[-1]
+            if u != v and phi[u] == u and phi[v] == v and any(phi[phi[w]] != w for w in walk):
+                return False
+        if phi == tuple(range(len(P))):
+            return True
+        phi = tuple(P[w] for w in phi)
 
 
 def F_mod_cyclotomic(i: int, k: int, m: int) -> IntPoly:

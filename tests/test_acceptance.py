@@ -250,7 +250,7 @@ def test_criterion_7_structure_enumeration() -> None:
         if rest < 0 or rest % 3:
             continue
         m3 = rest // 3
-        s = CycleStructure.from_map(84, 3, {1: 3, 2: m2, 3: m3})
+        s = CycleStructure.from_map(84, {1: 3, 2: m2, 3: m3})
         flag, alpha = is_two_critical(s)
         if flag and alpha is not None and 3 % alpha == 0:
             survivors.append((m2, m3))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amdigraph.cli as cli
+import amdigraph.digraphs as digraphs
 import amdigraph.factorization as factorization
 import amdigraph.sieve as sieve
 from amdigraph.cli import main, parse_certificate, serialize_certificate
@@ -405,6 +406,22 @@ def test_oracle_gen_check_report_flow(tmp_path: Path, capsys: pytest.CaptureFixt
     report = capsys.readouterr().out
     assert "r_set_trace_agreement" in report
     assert "FAIL" not in report
+
+
+def test_oracle_report_failed_row_exits_three(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    def planted(g: Digraph, check: digraphs.MooreCheck) -> bool:
+        raise digraphs.StructuralViolation("planted failure")
+
+    path = tmp_path / "d2.dig"
+    path.write_text(gen_line_digraph_complete(2).serialize(2, 2))
+    monkeypatch.setattr(digraphs, "check_fixed_walks", planted)
+    assert main(["oracle", "report", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "FAIL fixed_walks_square  planted failure\n" in captured.out
+    assert captured.out.count("PASS ") == 6
+    assert captured.err == "failed assertions: fixed_walks_square\n"
 
 
 def test_oracle_check_corrupted_file_exits_three(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from amdigraph.digraphs import (
     Digraph,
-    InducedSubdigraph,
     MooreCheck,
     NotAlmostMoore,
     NotDiregular,
     OrderMismatch,
+    StructuralViolation,
     build_H_alpha,
     check_fixed_walks,
     check_rk_closed,
@@ -20,6 +22,7 @@ from amdigraph.digraphs import (
     run_battery,
     verify_moore,
 )
+from oracles import fixed_walks_by_walks, rk_closed_by_walks
 
 # two hand-picked order-6 instances with nontrivial repeat permutations:
 # cycle type 2+4 and cycle type 3+3
@@ -124,6 +127,23 @@ def test_battery_details_identity_instance() -> None:
     assert rows["r_set_trace_agreement"] == "sum over ell<=4, j<=n: 108"
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_battery_rows_on_line_digraphs_follow_closed_forms(d: int) -> None:
+    # r is the identity, so R_{ell,j} is the set of vertices on a closed walk
+    # of length exactly ell: none for ell = 1, every vertex for ell = 2, 3, 4
+    # ((a,b)(b,a)(a,b); (a,b)(b,c)(c,a)(a,b); the 2-cycle twice)
+    n = d * (d + 1)
+    assert run_battery(gen_line_digraph_complete(d), d, 2) == [
+        ("eq1_permutation_residual", True, f"|self-repeats| = {n}"),
+        ("repeat_is_automorphism", True, ""),
+        ("trace_identities", True, ""),
+        ("fixed_walks_square", True, ""),
+        ("H_alpha[2]", True, f"{n} vertices, d'={d}"),
+        ("in_neighborhood_cases", True, f"I_i:{n}"),
+        ("r_set_trace_agreement", True, f"sum over ell<=4, j<=n: {3 * n * n}"),
+    ]
+
+
 def test_battery_details_nontrivial_fixtures() -> None:
     rows24 = dict((name, detail) for name, _, detail in run_battery(FIX_24, 2, 2))
     assert rows24["eq1_permutation_residual"] == "|self-repeats| = 0"
@@ -163,20 +183,18 @@ def test_in_neighborhood_case_distribution() -> None:
 
 def test_walk_counts_are_one_plus_repeat_indicator() -> None:
     chk = verify_moore(FIX_33, 2, 2)
+    A = FIX_33.adjacency()
+    residual = np.zeros((6, 6), dtype=np.int64)
+    residual[range(6), chk.P] = 1
+    assert (A + A @ A == np.ones((6, 6)) - np.eye(6) + residual).all()
     h_all = build_H_alpha(FIX_33, chk, 3)
-    assert h_all.vertices == (0, 1, 2, 3, 4, 5)
+    assert h_all == (0, 1, 2, 3, 4, 5)
     assert check_rk_closed(FIX_33, h_all, chk, 2)
 
 
 def test_rk_closed_detects_broken_subset() -> None:
     chk = verify_moore(FIX_33, 2, 2)
-    keep = (0, 1, 2, 3, 4)
-    idx = {v: i for i, v in enumerate(keep)}
-    out = tuple(
-        tuple(sorted(idx[w] for w in FIX_33.out[v] if w in idx)) for v in keep
-    )
-    sub = InducedSubdigraph(vertices=keep, digraph=Digraph(5, out))
-    assert not check_rk_closed(FIX_33, sub, chk, 2)
+    assert not check_rk_closed(FIX_33, (0, 1, 2, 3, 4), chk, 2)
 
 
 def test_fixed_walks_square_property() -> None:
@@ -185,10 +203,37 @@ def test_fixed_walks_square_property() -> None:
         assert check_fixed_walks(g, chk)
 
 
+def test_walk_checks_match_brute_force_reference() -> None:
+    # fabricated checks on random digraphs: the walk-count checks against
+    # enumerating every walk; both outcomes must occur for each check
+    rng = random.Random(2024)
+    outcomes: dict[str, set[bool]] = {"rk": set(), "fixed": set()}
+    for _ in range(500):
+        n, k = rng.randint(3, 7), rng.randint(1, 3)
+        out = tuple(
+            tuple(sorted(rng.sample([w for w in range(n) if w != v], rng.randint(0, min(3, n - 1)))))
+            for v in range(n)
+        )
+        g = Digraph(n, out)
+        P = tuple(rng.sample(range(n), n))
+        fake = MooreCheck(d=2, k=k, P=P)
+        h = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+        rk = check_rk_closed(g, h, fake, k)
+        assert rk == rk_closed_by_walks(out, h, P, k), (out, h, P, k)
+        try:
+            fixed = check_fixed_walks(g, fake)
+        except StructuralViolation:
+            fixed = False
+        assert fixed == fixed_walks_by_walks(out, P, k), (out, P, k)
+        outcomes["rk"].add(rk)
+        outcomes["fixed"].add(fixed)
+    assert outcomes == {"rk": {True, False}, "fixed": {True, False}}
+
+
 def test_empty_H_alpha_without_self_repeats_passes() -> None:
     chk = verify_moore(FIX_33, 2, 2)
     h2 = build_H_alpha(FIX_33, chk, 2)
-    assert h2.vertices == ()
+    assert h2 == ()
     rep = check_subdigraph_theorem(FIX_33, chk, 2)
     assert rep.vertices == ()
     assert rep.failures == ()
@@ -206,10 +251,11 @@ def test_subdigraph_theorem_diregular_branch() -> None:
 
 def test_subdigraph_theorem_cycle_branch_synthetic() -> None:
     # no genuine (2,2) instance has exactly k self-repeats, so the cycle
-    # branch is exercised on a fabricated check object: the shape conditions
-    # hold while the walk-count closure correctly fails
-    gs = Digraph(4, ((1, 2), (0, 3), (1, 3), (0, 2)))
-    fake = MooreCheck(d=2, k=2, P=(0, 1, 3, 2), orders=(1, 1, 5, 5), self_repeats=(0, 1))
+    # branch is exercised on a fabricated check object: r fixes 0 and 1 and
+    # turns 2 -> 3 -> 4, so H_2 = {0, 1}; the shape conditions hold while the
+    # walk 0 -> 2 -> 1 correctly fails the closure
+    gs = Digraph(5, ((1, 2), (0, 3), (1, 3), (0, 4), (2,)))
+    fake = MooreCheck(d=2, k=2, P=(0, 1, 3, 4, 2))
     rep = check_subdigraph_theorem(gs, fake, 2)
     assert rep.is_cycle_case
     assert rep.vertices == (0, 1)
@@ -221,7 +267,7 @@ def test_subdigraph_theorem_cycle_shape_rejects_a_tail() -> None:
     # 0 -> 1 -> 2 -> 1 has one out-arc per vertex and three vertices, but it
     # is a 2-cycle with a tail, not C_3
     gs = Digraph(3, ((1,), (2,), (1,)))
-    fake = MooreCheck(d=2, k=3, P=(0, 1, 2), orders=(1, 1, 1), self_repeats=(0, 1, 2))
+    fake = MooreCheck(d=2, k=3, P=(0, 1, 2))
     rep = check_subdigraph_theorem(gs, fake, 2)
     assert rep.is_cycle_case
     assert "self_repeat_cycle_shape" in rep.failures

@@ -8,26 +8,26 @@ from amdigraph.structures import CycleStructure, enumerate_structures
 from oracles import is_two_critical, structures_by_filter
 
 
-def _mk(k: int, mapping: dict[int, int]) -> CycleStructure:
-    return CycleStructure.from_map(sum(j * m for j, m in mapping.items()), k, mapping)
+def _mk(mapping: dict[int, int]) -> CycleStructure:
+    return CycleStructure.from_map(sum(j * m for j, m in mapping.items()), mapping)
 
 
 def test_from_map_drops_zero_multiplicities() -> None:
-    s = CycleStructure.from_map(10, 2, {1: 2, 2: 4, 3: 0})
+    s = CycleStructure.from_map(10, {1: 2, 2: 4, 3: 0})
     assert s.entries == ((1, 2), (2, 4))
     assert s.N == 10
 
 
 def test_two_critical_witness_normal_form() -> None:
     # all lengths even: alpha is the least stored length
-    assert is_two_critical(_mk(2, {1: 1, 6: 1, 12: 1})) == (True, 6)
-    assert is_two_critical(_mk(2, {2: 1, 4: 1, 8: 1})) == (True, 2)
+    assert is_two_critical(_mk({1: 1, 6: 1, 12: 1})) == (True, 6)
+    assert is_two_critical(_mk({2: 1, 4: 1, 8: 1})) == (True, 2)
     # an odd length present: alpha is the least odd part
-    assert is_two_critical(_mk(2, {1: 2, 3: 1, 6: 1, 12: 1})) == (True, 3)
+    assert is_two_critical(_mk({1: 2, 3: 1, 6: 1, 12: 1})) == (True, 3)
     # failures
-    assert is_two_critical(_mk(2, {3: 1, 5: 1})) == (False, None)
-    assert is_two_critical(_mk(2, {2: 1, 6: 1})) == (False, None)
-    assert is_two_critical(_mk(2, {1: 4})) == (False, None)
+    assert is_two_critical(_mk({3: 1, 5: 1})) == (False, None)
+    assert is_two_critical(_mk({2: 1, 6: 1})) == (False, None)
+    assert is_two_critical(_mk({1: 4})) == (False, None)
 
 
 def test_enumerate_structures_4_3_is_unique() -> None:
@@ -76,7 +76,7 @@ def test_enumerate_structures_invariants(d_prime: int, k: int) -> None:
     for s in enumerate_structures(d_prime, k):
         assert s.N == N
         assert sum(j * m for j, m in s.entries) == N
-        assert dict(s.entries)[1] == k == s.k
+        assert dict(s.entries)[1] == k
         flag, alpha = is_two_critical(s)
         assert flag
         assert alpha is not None and (d_prime - 1) % alpha == 0
