@@ -56,32 +56,50 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+def _array(items, pad: str) -> str:
+    # a JSON array of encoded items, laid out as json.dumps(indent=2) lays
+    # it out at the indentation pad; an encoded item is never empty
+    body = (",\n" + pad + "  ").join(items)
+    return f"[\n{pad}  {body}\n{pad}]" if body else "[]"
+
+
+def _checked_cell(cell: CheckedCell) -> str:
+    a = "true" if cell.predicted_reducible_a else "false"
+    b = "true" if cell.predicted_reducible_b else "false"
+    return (
+        "{\n"
+        f'      "i": {cell.i},\n'
+        '      "predicted": {\n'
+        f'        "A": {a},\n'
+        f'        "B": {b}\n'
+        "      },\n"
+        f'      "observed_degrees": {_array(map(str, cell.observed_degrees), "      ")},\n'
+        f'      "primes_used": {_array(map(str, cell.primes_used), "      ")}\n'
+        "    }"
+    )
+
+
 def serialize_certificate(cert: Certificate, deterministic: bool = False) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "d": cert.d,
-        "k": cert.k,
-        "verdict": cert.verdict,
-        "method": cert.method,
-        "witness": cert.witness,
-        "checked_i": [
-            {
-                "i": cell.i,
-                "predicted": {
-                    "A": cell.predicted_reducible_a,
-                    "B": cell.predicted_reducible_b,
-                },
-                "observed_degrees": list(cell.observed_degrees),
-                "primes_used": list(cell.primes_used),
-            }
-            for cell in cert.checked_i
-        ],
-        "assumptions": list(cert.assumptions),
-        "tool_version": __version__,
-    }
+    """The certificate as the text json.dumps(doc, indent=2) + "\\n" gives,
+    byte for byte, written from the fixed schema: ints print as literals and
+    each string is escaped by json.dumps on its own."""
+    witness = "null" if cert.witness is None else cert.witness
+    stamp = ""
     if not deterministic:
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return json.dumps(doc, indent=2) + "\n"
+        stamp = f',\n  "generated_at": {json.dumps(datetime.now(timezone.utc).isoformat())}'
+    return (
+        "{\n"
+        f'  "schema_version": {SCHEMA_VERSION},\n'
+        f'  "d": {cert.d},\n'
+        f'  "k": {cert.k},\n'
+        f'  "verdict": {json.dumps(cert.verdict)},\n'
+        f'  "method": {json.dumps(cert.method)},\n'
+        f'  "witness": {witness},\n'
+        f'  "checked_i": {_array(map(_checked_cell, cert.checked_i), "  ")},\n'
+        f'  "assumptions": {_array(map(json.dumps, cert.assumptions), "  ")},\n'
+        f'  "tool_version": {json.dumps(__version__)}{stamp}\n'
+        "}\n"
+    )
 
 
 def _field(obj: dict, key: str, *kinds: type, at: str = ""):
@@ -107,8 +125,9 @@ def parse_certificate(text: str) -> Certificate:
     doc = json.loads(text)
     if type(doc) is not dict:
         raise ValueError("certificate must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')}")
+    version = _field(doc, "schema_version", int)
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version}")
     cells = []
     for n, cell in enumerate(_items(doc, "checked_i", dict)):
         at = f"checked_i[{n}]."

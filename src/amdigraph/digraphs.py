@@ -517,24 +517,29 @@ def check_fixed_walks(g: Digraph, check: MooreCheck) -> bool:
     return True
 
 
-def _walks_from(g: Digraph, u: int, length: int) -> list[tuple[int, ...]]:
-    """All walks of exactly `length` arcs starting at u, as vertex tuples."""
-    walks = [(u,)]
+def _walk_ends(g: Digraph, u: int, length: int) -> Counter:
+    """End vertex -> number of walks of exactly `length` arcs from u, found by
+    extending every walk one arc at a time along the out-lists."""
+    ends = Counter({u: 1})
     for _ in range(length):
-        walks = [walk + (w,) for walk in walks for w in g.out[walk[-1]]]
-    return walks
+        step = Counter()
+        for v, walks in ends.items():
+            for w in g.out[v]:
+                step[w] += walks
+        ends = step
+    return ends
 
 
 def r_set_sizes(g: Digraph, check: MooreCheck, ell: int, js: Iterable[int]) -> list[int]:
     """|R_{ell,j}| for each j in js: vertices v with a walk r^j(v) -> v of
     length exactly ell.
 
-    Per-vertex walk counts are found twice: by explicit path search and as
-    the diagonal entries of P^j A^ell; the two must agree entrywise (so the
-    path-search total equals the trace).  A size counts vertices, which
-    matches the trace exactly when no vertex carries two such walks.  The
-    walks of length ell and A^ell depend on ell alone, so each is found once
-    for all j.
+    Per-vertex walk counts are found twice: by extending walks arc by arc
+    along the out-lists and as the diagonal entries of P^j A^ell; the two
+    must agree entrywise (so the walk total equals the trace).  A size
+    counts vertices, which matches the trace exactly when no vertex carries
+    two such walks.  The walk counts and A^ell depend on ell alone, so each
+    is found once for all j.
     """
     if ell < 1 or ell > _WALK_CAP:
         raise ValueError(f"ell must be in 1..{_WALK_CAP}")
@@ -542,9 +547,7 @@ def r_set_sizes(g: Digraph, check: MooreCheck, ell: int, js: Iterable[int]) -> l
     if any(j < 1 for j in js):
         raise ValueError("j must be >= 1")
     Apow = np.linalg.matrix_power(g.adjacency(), ell)
-    ends = [
-        Counter(walk[-1] for walk in _walks_from(g, u, ell)) for u in range(g.n)
-    ]
+    ends = [_walk_ends(g, u, ell) for u in range(g.n)]
     sizes = []
     for j in js:
         rj = check.r_power(j)

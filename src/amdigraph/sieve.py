@@ -221,11 +221,12 @@ def validate_certificate(cert: Certificate) -> bool:
         f"no settled rule covers this cell and d is above {MAX_D}",
     )
     expected = decide(cert.d, cert.k)
-    for f in fields(Certificate):
-        need(
-            getattr(cert, f.name) == getattr(expected, f.name),
-            f"{f.name} differs from the decided certificate",
+    if cert != expected:
+        name = next(
+            f.name for f in fields(Certificate)
+            if getattr(cert, f.name) != getattr(expected, f.name)
         )
+        need(False, f"{name} differs from the decided certificate")
     if cert.method == "PrimeWitness":
         sys = build_trace_system(cert.d, cert.k)
         need(check_infeasible(sys, cert.witness), "trace system not infeasible")

@@ -1,6 +1,7 @@
 """Reference helpers the tests check the package against."""
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator
@@ -8,10 +9,12 @@ from typing import Iterable, Iterator
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_div, gf_factor_sqf, gf_sqf_p
 
+from amdigraph import __version__
 from amdigraph.algebra import IntPoly, divisors, euler_phi, factorize, poly_divmod, poly_mul
+from amdigraph.cli import SCHEMA_VERSION
 from amdigraph.cyclotomic import cyclotomic
 from amdigraph.factorization import _FULL_FACTOR_DEGREE, FactorReport
-from amdigraph.sieve import settled
+from amdigraph.sieve import Certificate, settled
 from amdigraph.structures import CycleStructure
 
 
@@ -30,6 +33,37 @@ def schoolbook_mul(a: IntPoly, b: IntPoly) -> IntPoly:
         for j, y in enumerate(b.coeffs):
             out[i + j] += x * y
     return IntPoly(out)
+
+
+def certificate_json(cert: Certificate, generated_at: str | None = None) -> str:
+    """The certificate as a dict laid out by json.dumps(doc, indent=2), the
+    text serialize_certificate must match byte for byte; generated_at, when
+    given, is the last key."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "d": cert.d,
+        "k": cert.k,
+        "verdict": cert.verdict,
+        "method": cert.method,
+        "witness": cert.witness,
+        "checked_i": [
+            {
+                "i": cell.i,
+                "predicted": {
+                    "A": cell.predicted_reducible_a,
+                    "B": cell.predicted_reducible_b,
+                },
+                "observed_degrees": list(cell.observed_degrees),
+                "primes_used": list(cell.primes_used),
+            }
+            for cell in cert.checked_i
+        ],
+        "assumptions": list(cert.assumptions),
+        "tool_version": __version__,
+    }
+    if generated_at is not None:
+        doc["generated_at"] = generated_at
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def reduction_table_by_rows(f: list[int], p: int) -> list[list[int]]:

@@ -5,7 +5,9 @@ import json
 import multiprocessing
 import os
 from dataclasses import replace
+from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ import amdigraph.sieve as sieve
 from amdigraph.cli import main, parse_certificate, serialize_certificate
 from amdigraph.digraphs import Digraph, gen_line_digraph_complete
 from amdigraph.factorization import conjecture_verdict
-from amdigraph.sieve import Certificate, decide
+from amdigraph.sieve import Certificate, CheckedCell, decide
+from oracles import certificate_json
 
 
 def test_decide_definite_exits_zero(capsys: pytest.CaptureFixture[str]) -> None:
@@ -175,6 +178,40 @@ def test_serialize_deterministic_is_byte_stable() -> None:
     assert "generated_at" not in a
 
 
+def test_serialize_certificate_is_json_dumps_on_every_cell(monkeypatch: pytest.MonkeyPatch) -> None:
+    # byte for byte the indent-2 layout of the stdlib encoder, with and
+    # without the timestamp, on every cell that sweep accepts
+    stamp = datetime(2024, 5, 6, 7, 8, 9, 123456, tzinfo=timezone.utc)
+    monkeypatch.setattr(cli, "datetime", SimpleNamespace(now=lambda tz: stamp))
+    methods = set()
+    for d in range(2, 13):
+        for k in range(2, 301):
+            cert = decide(d, k)
+            methods.add(cert.method)
+            assert serialize_certificate(cert, deterministic=True) == certificate_json(cert)
+            assert serialize_certificate(cert) == certificate_json(cert, stamp.isoformat())
+    assert methods == {
+        "Known_k2", "Literature_k34", "Literature_d23", "PrimeWitness", "ConjectureElimination",
+    }
+
+
+def test_serialize_certificate_escapes_strings_as_json_dumps() -> None:
+    cert = Certificate(
+        d=5, k=7, verdict="NotExistSelfRepeat", method="PrimeWitness", witness=None,
+        checked_i=(
+            CheckedCell(i=3, predicted_reducible_a=True, predicted_reducible_b=False,
+                        observed_degrees=(), primes_used=(101,)),
+            CheckedCell(i=4, predicted_reducible_a=False, predicted_reducible_b=True,
+                        observed_degrees=(2, 6), primes_used=()),
+        ),
+        assumptions=('a "quoted" claim', "back\\slash", "two\nlines", "tab\there", "Erdős–π"),
+    )
+    text = serialize_certificate(cert, deterministic=True)
+    assert text == certificate_json(cert)
+    assert text.isascii()
+    assert parse_certificate(text) == cert
+
+
 def test_certificate_size_is_bounded() -> None:
     # a certificate stores the decision, not the trace rows it rests on
     text = serialize_certificate(decide(2, 300), deterministic=True)
@@ -199,6 +236,10 @@ def _mutated(cert: Certificate, change) -> str:
 # one change to the document of decide(6, 5), and the error that names it
 _BAD_DOCUMENTS = [
     (lambda doc: doc.update(schema_version=9), "unsupported schema_version 9"),
+    (lambda doc: doc.update(schema_version=2.0), "field schema_version must be int"),
+    (lambda doc: doc.update(schema_version="2"), "field schema_version must be int"),
+    (lambda doc: doc.update(schema_version=True), "field schema_version must be int"),
+    (lambda doc: doc.pop("schema_version"), "field schema_version is missing"),
     (lambda doc: doc.pop("verdict"), "field verdict is missing"),
     (lambda doc: doc.update(d="6"), "field d must be int"),
     (lambda doc: doc.update(k=True), "field k must be int"),

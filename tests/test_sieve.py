@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import takewhile
 
 import pytest
@@ -355,6 +355,24 @@ def test_validate_certificate_rejects_every_one_field_change_of_a_settled_cell()
                     validate_certificate(bad)
     assert settled_cells == 295
     assert conjecture_cells == 134
+
+
+def test_validate_certificate_names_the_one_field_that_differs() -> None:
+    # the validator decides the cell from (d, k), so those two fields set
+    # what every other field is compared with
+    witness, elim = decide(6, 11), decide(4, 6)
+    changed = {
+        "verdict": replace(witness, verdict="Exists"),
+        "method": replace(witness, method="Literature_d23"),
+        "witness": replace(witness, witness=3),
+        "checked_i": replace(elim, checked_i=elim.checked_i[:-1]),
+        "assumptions": replace(elim, assumptions=()),
+    }
+    assert set(changed) == {f.name for f in fields(Certificate)} - {"d", "k"}
+    for name, bad in changed.items():
+        message = rf"^\({bad.d},{bad.k}\) {bad.method}: {name} differs from the decided certificate$"
+        with pytest.raises(CertificateError, match=message):
+            validate_certificate(bad)
 
 
 def test_validate_certificate_pins_the_verdict_and_the_citations() -> None:
