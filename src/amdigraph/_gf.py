@@ -45,6 +45,14 @@ factor degrees up to some u bounds the routine there: it stops after the
 iterate x^(p^u) and returns the unsplit rest, every factor of degree above
 u, as one entry, so a bound of 1 builds no matrix at all.
 
+The equal-degree split is reached only through gf_factor, on the Hensel
+route.  gf_factor builds one PolyMod per squarefree part and hands it to the
+DDF and to every split of its parts, so a split works modulo a multiple of
+its f and reuses the Frobenius matrix.  The Cantor-Zassenhaus power
+a^((p^d-1)/2) is N(a)^((p-1)/2), N(a) = a * a^p * ... * a^(p^(d-1)) the norm
+from F_{p^d} to F_p (von zur Gathen & Gerhard, 14.3): d - 1 Frobenius
+applies and a (p-1)/2 power in place of a d*log2(p)-bit power.
+
 Euclidean division, remainders and (extended) gcds run one quotient loop,
 ``_euclid``, which steps through every division of Euclid inline, with no
 call per division; a single division is Euclid stopped after the first.
@@ -321,7 +329,8 @@ class PolyMod:
 
     def pow(self, a: GFArray, e: int) -> GFArray:
         """a**e mod f for a reduced mod f, as in ``mul``: ``x_to_p`` (n >= 2)
-        and the equal-degree split (deg a < n) pass no other base."""
+        and the equal-degree split (a norm: a draw of degree below n, or a
+        ``mul`` product) pass no other base."""
         r = gf_one()
         while e:
             if e & 1:
@@ -472,9 +481,12 @@ def gf_distinct_degree_list(
     return out
 
 
-def gf_equal_degree_split(f: GFArray, d: int, p: int, rng: random.Random) -> list[GFArray]:
+def gf_equal_degree_split(
+    f: GFArray, d: int, p: int, rng: random.Random, ctx: PolyMod
+) -> list[GFArray]:
     """Cantor-Zassenhaus: split monic squarefree f, all factors of degree d,
-    p odd.
+    p odd, in ``ctx`` modulo f or a multiple of f (the gcd with f reads each
+    power mod f); a**((p**d - 1)/2) is taken by the norm.
 
     A constant or zero draw a needs no skip: a**((p**d - 1)/2) - 1 is then
     0, -2 or -1, so its gcd with f is f or 1, which splits nothing, and the
@@ -482,14 +494,16 @@ def gf_equal_degree_split(f: GFArray, d: int, p: int, rng: random.Random) -> lis
     n = gf_degree(f)
     if n == d:
         return [f]
-    ctx = PolyMod(f, p)
     while True:
-        a = gf_trim(np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64))
-        g = gf_gcd(f, gf_sub(ctx.pow(a, (p**d - 1) // 2), gf_one(), p), p)
+        a = norm = gf_trim(np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64))
+        for _ in range(d - 1):
+            a = ctx.frobenius(a)
+            norm = ctx.mul(norm, a)
+        g = gf_gcd(f, gf_sub(ctx.pow(norm, (p - 1) // 2), gf_one(), p), p)
         if 0 < gf_degree(g) < n:
             break
     h = gf_divmod(f, g, p)[0]
-    return gf_equal_degree_split(g, d, p, rng) + gf_equal_degree_split(h, d, p, rng)
+    return gf_equal_degree_split(g, d, p, rng, ctx) + gf_equal_degree_split(h, d, p, rng, ctx)
 
 
 def gf_factor(f: GFArray, p: int) -> list[GFArray]:
@@ -506,7 +520,8 @@ def gf_factor(f: GFArray, p: int) -> list[GFArray]:
     for sqf, mult in gf_squarefree_list(f, p):
         if mult != 1:
             raise ValueError("gf_factor expects a squarefree polynomial")
-        for prod, d in gf_distinct_degree_list(sqf, p):
-            out.extend(gf_equal_degree_split(prod, d, p, rng))
+        ctx = PolyMod(sqf, p)
+        for prod, d in gf_distinct_degree_list(sqf, p, ctx):
+            out.extend(gf_equal_degree_split(prod, d, p, rng, ctx))
     out.sort(key=lambda g: (gf_degree(g), tuple(int(c) for c in g)))
     return out

@@ -87,6 +87,12 @@ class Digraph:
             A[v, list(nbrs)] = 1
         return A
 
+    @cached_property
+    def _distances(self) -> tuple[list[int], ...]:
+        """Row s: BFS distances from s, -1 where unreachable; one BFS per
+        source, run once per digraph."""
+        return tuple(_bfs_dist(self, s) for s in range(self.n))
+
     def in_lists(self) -> tuple[tuple[int, ...], ...]:
         ins: list[list[int]] = [[] for _ in range(self.n)]
         for v, nbrs in enumerate(self.out):
@@ -429,15 +435,11 @@ def profile_in_neighborhood(
         raise StructuralViolation(f"vertex {v}: {msg}")
 
     outs = g.out[v]
-    dist_v = _bfs_dist(g, v)
-    T_sets = []
-    for vj in outs:
-        dist_j = _bfs_dist(g, vj)
-        T_sets.append(
-            frozenset(
-                w for w in range(g.n) if w != v and dist_v[w] == 1 + dist_j[w]
-            )
-        )
+    dist = g._distances
+    T_sets = [
+        frozenset(w for w in range(g.n) if w != v and dist[v][w] == 1 + dist[vj][w])
+        for vj in outs
+    ]
     r_v = check.P[v]
     overlaps = [
         (a, b)
@@ -450,7 +452,7 @@ def profile_in_neighborhood(
     if overlaps and T_sets[overlaps[0][0]] & T_sets[overlaps[0][1]] != {r_v}:
         fail(f"T-set overlap at pair {overlaps[0]} is not {{r(v)}}")
 
-    ins = set(g.in_lists()[v])
+    ins = {z for z in range(g.n) if v in g.out[z]}
     backs = tuple(tuple(sorted(T & ins)) for T in T_sets)
     n_counts = tuple(len(b) for b in backs)
     for j, nj in enumerate(n_counts):

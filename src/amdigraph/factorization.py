@@ -22,8 +22,11 @@ users:
   full-degree reductions that ``_reductions`` yields;
 * full rational factorization: Hensel lifting of one mod-p factorization,
   at the prime with the fewest counted parts, plus recombination pruned by the
-  degree set.  The reducible F_{i,k} split into just two factors, which
-  keeps recombination away from lattice reduction;
+  degree set.  Each quadratic step lifts coefficient lists reduced mod m^2,
+  and recombination refuses a candidate whose constant term does not divide
+  the cofactor's before any trial division.  The reducible F_{i,k} split
+  into just two factors, which keeps recombination away from lattice
+  reduction;
 * tower sampling for F_{i,k} itself: writing s = 1 + x + ... + x^k, the
   composite F_{i,k} = Phi_i(s) is irreducible over Q as soon as s - zeta is
   irreducible over Q(zeta) for a primitive i-th root zeta (a root theta of
@@ -45,8 +48,8 @@ users:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, islice
+from functools import lru_cache, reduce
+from itertools import combinations, islice, zip_longest
 from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator
 
@@ -56,6 +59,7 @@ from . import _gf
 from .algebra import (
     IntPoly,
     NotDivisible,
+    _kronecker_mul,
     factorize,
     poly_divexact,
     poly_divmod,
@@ -292,18 +296,42 @@ def certify_irreducible(poly: IntPoly) -> IrreducibilityOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _pmod(f: IntPoly, m: int) -> IntPoly:
-    return IntPoly(tuple(c % m for c in f.coeffs))
+def _trim_mod(cs: Iterable[int], m: int) -> list[int]:
+    out = [c % m for c in cs]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _pcenter(f: IntPoly, m: int) -> IntPoly:
-    half = m // 2
-    return IntPoly(tuple(c - m if c > half else c for c in _pmod(f, m).coeffs))
+def _mul_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    return _trim_mod(_kronecker_mul(a, b), m) if a and b else []
 
 
-def _divmod_monic_mod(a: IntPoly, b: IntPoly, m: int) -> tuple[IntPoly, IntPoly]:
-    q, r = poly_divmod(_pmod(a, m), b)
-    return _pmod(q, m), _pmod(r, m)
+def _prod_mod(polys: Iterable[list[int]], m: int) -> list[int]:
+    return reduce(lambda u, v: _mul_mod(u, v, m), polys, [1])
+
+
+def _center(cs: list[int], m: int) -> IntPoly:
+    """The residues cs mod m lifted to (-m/2, m/2]."""
+    return IntPoly(c - m if c > m // 2 else c for c in cs)
+
+
+def _add_mod(a: list[int], b: list[int], m: int, sign: int = 1) -> list[int]:
+    return _trim_mod((x + sign * y for x, y in zip_longest(a, b, fillvalue=0)), m)
+
+
+def _divmod_monic(a: list[int], h: list[int], m: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q*h + r mod m for monic h, on reduced coefficient
+    lists: each quotient coefficient is reduced mod m as it is taken, so an
+    entry of the running remainder stays below (deg h + 1) * m**2."""
+    n = len(h) - 1
+    rem, q = list(a), []
+    for i in range(len(a) - n - 1, -1, -1):
+        c = rem[i + n] % m
+        q.append(c)
+        if c:
+            rem[i : i + n] = [x - c * y for x, y in zip(rem[i : i + n], h)]
+    return q[::-1], _trim_mod(rem[:n], m)
 
 
 def _rational_gcd_is_constant(f: IntPoly, g: IntPoly) -> bool:
@@ -316,43 +344,33 @@ def _rational_gcd_is_constant(f: IntPoly, g: IntPoly) -> bool:
     return a.degree == 0
 
 
-def _hensel_lift_monic(
-    f: IntPoly, facs: list[IntPoly], p: int, modulus: int
-) -> list[IntPoly]:
-    """Lift f = prod(facs) (mod p) to (mod modulus); f and facs monic,
-    modulus a power p^(2^e).  Returns the lifted monic factors."""
+def _hensel_lift_monic(f: list[int], facs: list[list[int]], p: int, modulus: int) -> list[list[int]]:
+    """Lift f = prod(facs) (mod p) to (mod modulus), a power p^(2^e): f and
+    facs monic coefficient lists, f and the lifted factors reduced mod modulus.
+    Each quadratic step (von zur Gathen & Gerhard, Algorithm 15.10) lifts
+    g*h = f and s*g + t*h = 1 from mod m to mod m^2 on lists reduced mod m^2,
+    each product one Kronecker-packed multiply; the last lifts g and h only."""
     if len(facs) == 1:
-        return [_pmod(f, modulus)]
-    h_count = len(facs) // 2
-    A, B = facs[:h_count], facs[h_count:]
-    g = _pmod(_prod(A), p)
-    h = _pmod(_prod(B), p)
-    gg = _gf.gf_from_coeffs(g.coeffs, p)
-    hh = _gf.gf_from_coeffs(h.coeffs, p)
-    one, s0, t0 = _gf.gf_gcdext(gg, hh, p)
+        return [f]
+    A, B = facs[: len(facs) // 2], facs[len(facs) // 2 :]
+    g, h = _prod_mod(A, p), _prod_mod(B, p)
+    one, s0, t0 = _gf.gf_gcdext(_gf.gf_from_coeffs(g, p), _gf.gf_from_coeffs(h, p), p)
     assert _gf.gf_degree(one) == 0
-    s = IntPoly(int(c) for c in s0)
-    t = IntPoly(int(c) for c in t0)
+    s, t = s0.tolist(), t0.tolist()
     m = p
     while m < modulus:
-        m2 = m * m
-        e = _pmod(f - poly_mul(g, h), m2)
-        q, r = _divmod_monic_mod(poly_mul(s, e), h, m2)
-        g = _pmod(g + poly_mul(t, e) + poly_mul(q, g), m2)
-        h = _pmod(h + r, m2)
-        b = _pmod(poly_mul(s, g) + poly_mul(t, h) - IntPoly.one(), m2)
-        c, d = _divmod_monic_mod(poly_mul(s, b), h, m2)
-        s = _pmod(s - d, m2)
-        t = _pmod(t - poly_mul(t, b) - poly_mul(c, g), m2)
-        m = m2
+        M = m * m
+        e = _add_mod(f, _mul_mod(g, h, M), M, -1)
+        q, r = _divmod_monic(_mul_mod(s, e, M), h, M)
+        g = _add_mod(g, _add_mod(_mul_mod(t, e, M), _mul_mod(q, g, M), M), M)
+        h = _add_mod(h, r, M)
+        if M < modulus:
+            b = _add_mod(_add_mod(_mul_mod(s, g, M), _mul_mod(t, h, M), M), [1], M, -1)
+            c, d = _divmod_monic(_mul_mod(s, b, M), h, M)
+            s = _add_mod(s, d, M, -1)
+            t = _add_mod(t, _add_mod(_mul_mod(t, b, M), _mul_mod(c, g, M), M), M, -1)
+        m = M
     return _hensel_lift_monic(g, A, p, modulus) + _hensel_lift_monic(h, B, p, modulus)
-
-
-def _prod(polys: Iterable[IntPoly]) -> IntPoly:
-    out = IntPoly.one()
-    for q in polys:
-        out = poly_mul(out, q)
-    return out
 
 
 def _l2_norm_ceil(f: IntPoly) -> int:
@@ -400,10 +418,9 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...], tuple[int, ...]]:
         modulus *= modulus
 
     lc_inv = pow(lc % modulus, -1, modulus)
-    f_hat = _pmod(f.scale(lc_inv), modulus)
-    assert f_hat.is_monic
-    monic_facs = [IntPoly(int(c) for c in arr) for arr in mod_facs]
-    lifted = _hensel_lift_monic(f_hat, monic_facs, hensel_p, modulus)
+    f_hat = [c * lc_inv % modulus for c in f.coeffs]
+    assert f_hat[-1] == 1
+    lifted = _hensel_lift_monic(f_hat, [arr.tolist() for arr in mod_facs], hensel_p, modulus)
 
     found: list[IntPoly] = []
     f_cur = f
@@ -412,13 +429,17 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...], tuple[int, ...]]:
     while 2 * size <= len(active):
         hit = False
         for combo in combinations(active, size):
-            d = sum(lifted[j].degree for j in combo)
+            d = sum(len(lifted[j]) - 1 for j in combo)
             # no degree-half prune as well: subsets stop at half the factors,
             # so a few-factor, high-degree subset is the only way to its factor
             if not (mask >> d) & 1:
                 continue
-            cand = _prod(lifted[j] for j in combo)
-            cand = _pcenter(cand.scale(f_cur.lead), modulus).primitive_part()
+            cand = _prod_mod([[f_cur.lead]] + [lifted[j] for j in combo], modulus)
+            cand = _center(cand, modulus).primitive_part()
+            # a factor's constant term divides f_cur's, and 0 divides only 0
+            c0, f0 = cand.coeffs[0], f_cur.coeffs[0]
+            if f0 % c0 if c0 else f0:
+                continue
             try:
                 q = poly_divexact(f_cur, cand)
             except NotDivisible:
@@ -433,7 +454,7 @@ def _factor_over_Q(f: IntPoly) -> tuple[tuple[IntPoly, ...], tuple[int, ...]]:
     if f_cur.degree >= 1:
         found.append(f_cur)
     found.sort(key=lambda g: (g.degree, g.coeffs))
-    assert _prod(found) == f
+    assert reduce(poly_mul, found) == f
     return tuple(found), primes_used
 
 

@@ -79,6 +79,14 @@ def reduction_table_by_rows(f: list[int], p: int) -> list[list[int]]:
     return rows
 
 
+def divmod_mod_over_Z(a: list[int], h: list[int], m: int) -> tuple[list[int], list[int]]:
+    """a = q*h + r mod m for monic h, as ascending residue lists: a reduced
+    mod m, divided over Z by ``poly_divmod``, and only then q and r reduced
+    mod m, so coefficients grow through the whole division."""
+    q, r = poly_divmod(IntPoly(c % m for c in a), IntPoly(h))
+    return [c % m for c in q.coeffs], list(IntPoly(c % m for c in r.coeffs).coeffs)
+
+
 def primes_in(lo: int, hi: int) -> list[int]:
     """Primes in the half-open interval [lo, hi), ascending, by a sieve."""
     lo = max(lo, 2)

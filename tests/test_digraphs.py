@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from amdigraph import digraphs
 from amdigraph.digraphs import (
     Digraph,
     MooreCheck,
@@ -127,7 +128,7 @@ def test_battery_details_identity_instance() -> None:
     assert rows["r_set_trace_agreement"] == "sum over ell<=4, j<=n: 108"
 
 
-@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("d", range(2, 13))
 def test_battery_rows_on_line_digraphs_follow_closed_forms(d: int) -> None:
     # r is the identity, so R_{ell,j} is the set of vertices on a closed walk
     # of length exactly ell: none for ell = 1, every vertex for ell = 2, 3, 4
@@ -167,6 +168,53 @@ def test_in_neighborhood_profile_fields() -> None:
     assert prof.case == "I_ii"
     assert prof.back_vertices == ((3,), (4,))
     assert prof.W1_sets == (frozenset(), frozenset({5}))
+
+
+def test_in_neighborhood_profile_matches_a_bfs_per_vertex() -> None:
+    # T-sets and back vertices from a fresh BFS for v and each v_j and the
+    # whole in-list table, for every vertex of three instances
+    def bfs(out: tuple[tuple[int, ...], ...], s: int) -> dict[int, int]:
+        dist, queue = {s: 0}, [s]
+        for u in queue:
+            for w in out[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return dist
+
+    for g, d in ((FIX_24, 2), (FIX_33, 2), (gen_line_digraph_complete(3), 3)):
+        chk = verify_moore(g, d, 2)
+        for v in range(g.n):
+            dist_v = bfs(g.out, v)
+            T_sets = tuple(
+                frozenset(w for w, dw in bfs(g.out, vj).items() if w != v and dist_v[w] == 1 + dw)
+                for vj in g.out[v]
+            )
+            prof = profile_in_neighborhood(g, chk, v)
+            assert prof.T_sets == T_sets
+            assert prof.back_vertices == tuple(tuple(sorted(T & set(g.in_lists()[v]))) for T in T_sets)
+
+
+def test_battery_runs_one_bfs_per_source(monkeypatch: pytest.MonkeyPatch) -> None:
+    g = gen_line_digraph_complete(4)
+    sources, in_lists = [], []
+
+    def bfs(h: Digraph, s: int, _original=digraphs._bfs_dist) -> list[int]:
+        if h is g:
+            sources.append(s)
+        return _original(h, s)
+
+    def spy_in_lists(h: Digraph, _original=Digraph.in_lists) -> tuple[tuple[int, ...], ...]:
+        if h is g:
+            in_lists.append(h)
+        return _original(h)
+
+    monkeypatch.setattr(digraphs, "_bfs_dist", bfs)
+    monkeypatch.setattr(Digraph, "in_lists", spy_in_lists)
+    rows = run_battery(g, 4, 2)
+    assert dict((name, detail) for name, _, detail in rows)["in_neighborhood_cases"] == "I_i:20"
+    assert sorted(sources) == list(range(g.n))
+    assert len(in_lists) == 1  # verify_moore's in-degree check
 
 
 def test_in_neighborhood_case_distribution() -> None:

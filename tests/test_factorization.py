@@ -21,7 +21,7 @@ from amdigraph.factorization import (
     score_conjecture,
     split_index,
 )
-from oracles import F_mod_cyclotomic, primes_in, tower_cells, tower_report_holds
+from oracles import F_mod_cyclotomic, divmod_mod_over_Z, primes_in, tower_cells, tower_report_holds
 
 
 def _sympy_degrees(poly: IntPoly) -> list[int]:
@@ -340,21 +340,66 @@ def test_factor_over_Q_roundtrip_on_monic_squarefree(p: IntPoly) -> None:
 def test_recombination_skips_a_candidate_that_does_not_divide(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # (2x + 5)(4x^3 - 2x - 5): one lifted candidate leaves a remainder, and
-    # recombination moves on to the factor that divides
-    refused = []
+    # spies: every candidate recombination builds, and those the trial
+    # division refuses
+    built, refused = [], []
 
-    def spy(a: IntPoly, b: IntPoly, _original=factorization.poly_divexact) -> IntPoly:
+    def center(cs: list[int], m: int, _original=factorization._center) -> IntPoly:
+        out = _original(cs, m)
+        built.append(out.primitive_part())
+        return out
+
+    def divexact(a: IntPoly, b: IntPoly, _original=factorization.poly_divexact) -> IntPoly:
         try:
             return _original(a, b)
         except NotDivisible:
             refused.append(b)
             raise
 
-    monkeypatch.setattr(factorization, "poly_divexact", spy)
+    monkeypatch.setattr(factorization, "_center", center)
+    monkeypatch.setattr(factorization, "poly_divexact", divexact)
+
+    # (2x + 5)(4x^3 - 2x - 5): after 2x + 5, the lifted 4x - 3073 is left;
+    # 3073 does not divide 5, so the constant-term test refuses it before
+    # any trial division
     F = poly_mul(IntPoly((5, 2)), IntPoly((-5, -2, 0, 4)))
     assert factor_over_Q(F) == [IntPoly((5, 2)), IntPoly((-5, -2, 0, 4))]
-    assert refused
+    assert built == [IntPoly((5, 2)), IntPoly((-3073, 4))]
+    assert refused == []
+
+    # x^4 - 14x^2 + 9, roots +-sqrt(5) +- sqrt(2), is irreducible.  Mod 101,
+    # where 5 is a square and 2 and 10 are not, it splits as
+    # x^2 -+ 2*sqrt(5)*x + 3: both lifts pass the constant-term test (3 | 9)
+    # and the trial division refuses them
+    built.clear()
+    G = IntPoly((9, 0, -14, 0, 1))
+    assert factor_over_Q(G) == [G]
+    assert factorization._scan(G)[1][0] == (101, 2)
+    assert refused == built and len(refused) == 2
+    assert [c.coeffs[0] for c in refused] == [3, 3]
+
+
+def test_lift_division_matches_the_division_over_Z() -> None:
+    # the lift's reduced division against poly_divmod over Z then mod m, at
+    # moduli p^(2^e) as the lift uses them; the zero dividend and one
+    # shorter than h included
+    rng = random.Random(30)
+    for p in (101, 1009, 10007):
+        for e in range(4):
+            m = p ** (2**e)
+            for n in (0, 3, *(rng.randint(0, 30) for _ in range(10))):
+                h = [rng.randrange(m) for _ in range(rng.randint(4, 12))] + [1]
+                a = factorization._trim_mod([rng.randrange(m) for _ in range(n)], m)
+                assert factorization._divmod_monic(a, h, m) == divmod_mod_over_Z(a, h, m)
+
+
+def test_factor_over_Q_peeled_degree_404() -> None:
+    # F_{4,202} is x^2 + 1 times a degree-402 cofactor (Phi_4 peels: 4 | 204)
+    F = build_F(4, 202)
+    factors, _ = factorization._factor_over_Q(F)
+    assert [g.degree for g in factors] == [2, 402]
+    assert factors[0] == cyclotomic(4)
+    assert poly_mul(*factors) == F
 
 
 def test_tower_agrees_with_a_foreign_kernel() -> None:

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_div, gf_gcd as sympy_gcd, gf_gcdex, gf_irreducible_p, gf_sqf_list
+from sympy.polys.galoistools import (
+    gf_div,
+    gf_factor_sqf,
+    gf_gcd as sympy_gcd,
+    gf_gcdex,
+    gf_irreducible_p,
+    gf_sqf_list,
+)
 
 from amdigraph import _gf
 from amdigraph.factorization import _chain_minus_root, _primitive_ith_roots
@@ -588,6 +595,25 @@ def test_squarefree_list_matches_sympy(p: int, seed: int) -> None:
     got = sorted((lst(z), e) for z, e in _gf.gf_squarefree_list(arr(f), p))
     _, want = gf_sqf_list(sympy_dense(f), p, ZZ)
     assert got == sorted((from_sympy(z), e) for z, e in want)
+
+
+@pytest.mark.parametrize("p", (101, 1009))
+@pytest.mark.parametrize("d", range(1, 7))
+def test_equal_degree_split_matches_sympy(p: int, d: int) -> None:
+    # f, a product of three distinct monic irreducibles of degree d, split in
+    # PolyMod(f) and in the PolyMod of a proper multiple of f
+    rng = random.Random(100 * p + d)
+    irreducibles: set[tuple[int, ...]] = set()
+    while len(irreducibles) < 3:
+        g = [rng.randrange(p) for _ in range(d)] + [1]
+        if gf_irreducible_p(g[::-1], p, ZZ):
+            irreducibles.add(tuple(g))
+    f = functools.reduce(lambda u, v: ref_mul(u, list(v), p), irreducibles, [1])
+    want = sorted(g[::-1] for g in gf_factor_sqf(f[::-1], p, ZZ)[1])
+    multiple = ref_mul(f, [rng.randrange(p) for _ in range(d + 2)] + [1], p)
+    for ctx in (_gf.PolyMod(arr(f), p), _gf.PolyMod(arr(multiple), p)):
+        got = _gf.gf_equal_degree_split(arr(f), d, p, random.Random(d), ctx)
+        assert sorted(lst(g) for g in got) == want
 
 
 def test_squarefree_list_refuses_a_multiplicity_of_p() -> None:
