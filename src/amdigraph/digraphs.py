@@ -333,14 +333,12 @@ class SubdigraphReport:
 
 
 def _diameter(g: Digraph) -> int | None:
-    """Exact diameter by per-vertex BFS; None when not strongly connected."""
-    worst = 0
-    for s in range(g.n):
-        dist = _bfs_dist(g, s)
-        if min(dist) < 0:
-            return None
-        worst = max(worst, max(dist))
-    return worst
+    """Exact diameter from the BFS distance rows; None when not strongly
+    connected."""
+    rows = g._distances
+    if any(min(row) < 0 for row in rows):
+        return None
+    return max((max(row) for row in rows), default=0)
 
 
 def check_subdigraph_theorem(

@@ -194,7 +194,7 @@ def decide(d: int, k: int) -> Certificate:
     verdicts = [conjecture_verdict(i, k) for i in range(3, d)]
     checked = tuple(CheckedCell.from_verdict(v) for v in verdicts)
     base = dict(d=d, k=k, method="ConjectureElimination", witness=None, checked_i=checked)
-    if checked and all(v.match == "Consistent" for v in verdicts):
+    if all(v.match == "Consistent" for v in verdicts):
         return Certificate(
             verdict="NotExistSelfRepeat", assumptions=LITERATURE["conjecture"], **base
         )

@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amdigraph import _gf, factorization
-from amdigraph.algebra import IntPoly, NotDivisible, euler_phi, poly_divmod, poly_mul, prime_range_from
+from amdigraph.algebra import IntPoly, NotDivisible, euler_phi, poly_mul, prime_range_from
+from amdigraph.cli import _conjecture_cell
 from amdigraph.cyclotomic import build_F, cyclotomic
 from amdigraph.factorization import (
     NoUsablePrime,
@@ -21,7 +22,10 @@ from amdigraph.factorization import (
     score_conjecture,
     split_index,
 )
-from oracles import F_mod_cyclotomic, divmod_mod_over_Z, primes_in, tower_cells, tower_report_holds
+from amdigraph.sieve import decide
+import crosscheck
+from crosscheck import gcd_says_squarefree
+from oracles import F_mod_cyclotomic, divmod_mod_over_Z, primes_in, tower_cells
 
 
 def _sympy_degrees(poly: IntPoly) -> list[int]:
@@ -402,37 +406,32 @@ def test_factor_over_Q_peeled_degree_404() -> None:
     assert poly_mul(*factors) == F
 
 
+def _seeded_tower_cells(keep, seed: int) -> tuple[list, list]:
+    # the strata (i, number of factors) of the tower cells that ``keep``
+    # admits, and one seeded cell of each
+    strata = defaultdict(list)
+    for i, k in tower_cells():
+        if keep(i, k):
+            strata[i, len(conjecture_verdict(i, k).observed.factor_degrees)].append((i, k))
+    rng = random.Random(seed)
+    return sorted(strata), [rng.choice(strata[key]) for key in sorted(strata)]
+
+
 def test_tower_agrees_with_a_foreign_kernel() -> None:
     # a seeded sample, one cell per i and route, of the tower cells behind
     # the d = 6..12 conjecture cells; CI checks every one of them
-    strata = defaultdict(list)
-    for i, k in tower_cells():
-        if 4 <= i <= 11:
-            report = conjecture_verdict(i, k).observed
-            strata[i, len(report.factor_degrees)].append(report)
-    assert sorted(strata) == [(i, shape) for i in range(4, 12) for shape in (1, 2)]
-    rng = random.Random(16)
-    for key in sorted(strata):
-        report = rng.choice(strata[key])
-        assert tower_report_holds(report), (report.i, report.k)
+    strata, cells = _seeded_tower_cells(lambda i, k: 4 <= i <= 11, seed=16)
+    assert strata == [(i, shape) for i in range(4, 12) for shape in (1, 2)]
+    assert crosscheck.tower_foreign(cells) == []
 
 
 def test_tower_agrees_with_full_factoring() -> None:
     # the Hensel route: a seeded sample, one cell per i = 3..10 and route, of
     # the tower cells of degree <= 120; factoring F outright gives the
     # tower's factor degrees and, where it peels, the same two factors
-    strata = defaultdict(list)
-    for i, k in tower_cells():
-        if i <= 10 and euler_phi(i) * k <= 120:
-            report = conjecture_verdict(i, k).observed
-            strata[i, len(report.factor_degrees)].append(report)
-    assert sorted(strata) == [(i, shape) for i in range(3, 11) for shape in (1, 2)]
-    rng = random.Random(17)
-    for key in sorted(strata):
-        report = rng.choice(strata[key])
-        factors, _ = factorization._factor_over_Q(build_F(report.i, report.k))
-        assert tuple(g.degree for g in factors) == report.factor_degrees, key
-        assert not report.factors or set(factors) == set(report.factors), key
+    strata, cells = _seeded_tower_cells(lambda i, k: i <= 10 and euler_phi(i) * k <= 120, seed=17)
+    assert strata == [(i, shape) for i in range(3, 11) for shape in (1, 2)]
+    assert crosscheck.tower_full(cells) == []
 
 
 @pytest.mark.parametrize("i", range(3, 31))
@@ -442,10 +441,8 @@ def test_split_divides_agrees_with_dividing_F(i: int) -> None:
     # wherever deg F <= 600
     m = split_index(i)
     for k in range(1, 301):
-        divides = factorization._split_divides(i, k)
-        assert F_mod_cyclotomic(i, k, m).is_zero == divides, k
-        if k <= 2 * m and euler_phi(i) * k <= 600:
-            assert poly_divmod(build_F(i, k), cyclotomic(m))[1].is_zero == divides, k
+        assert F_mod_cyclotomic(i, k, m).is_zero == factorization._split_divides(i, k), k
+    assert crosscheck.route_rule([(i, k) for k in range(1, 2 * m + 1) if euler_phi(i) * k <= 600]) == []
 
 
 def test_every_peel_of_a_tower_cell_divides() -> None:
@@ -461,10 +458,6 @@ def test_every_peel_of_a_tower_cell_divides() -> None:
                 w = -pow(zbar, -1, p) % p
                 assert sum(pow(w, j, p) for j in range(k + 1)) % p == zbar, (i, k, p)
     assert peeled == 23
-
-
-def _gcd_says_squarefree(k: int, zbar: int, p: int, peel: bool) -> bool:
-    return _gf.gf_is_squarefree(factorization._chain_minus_root(k, zbar, p, peel), p)
 
 
 @pytest.mark.parametrize(
@@ -490,7 +483,7 @@ def test_tower_squarefree_rule_at_its_edges(
     assert zbar in factorization._primitive_ith_roots(i, p)
     assert factorization._split_divides(i, k) == peel
     for route, expected in ((peel, squarefree), (False, unpeeled_squarefree)):
-        assert _gcd_says_squarefree(k, zbar, p, route) == expected
+        assert gcd_says_squarefree(k, zbar, p, route) == expected
         assert factorization._tower_sample_squarefree(k, zbar, p, route) == expected
 
 
@@ -501,15 +494,38 @@ def test_tower_squarefree_rule_matches_the_gcd_on_seeded_tower_samples() -> None
     cells = [(i, k) for i in range(3, 31) for k in range(2, 301)]
     peeled = [c for c in cells if factorization._split_divides(*c)]
     unpeeled = [c for c in cells if not factorization._split_divides(*c)]
-    samples = 0
-    for i, k in rng.sample(unpeeled, 60) + rng.sample(peeled, 20):
-        peel = factorization._split_divides(i, k)
-        for p in islice((q for q in prime_range_from(101) if (q - 1) % i == 0), 2):
-            for zbar in factorization._primitive_ith_roots(i, p):
-                samples += 1
-                got = factorization._tower_sample_squarefree(k, zbar, p, peel)
-                assert got == _gcd_says_squarefree(k, zbar, p, peel), (i, k, p, zbar)
-    assert samples > 1000
+    samples = crosscheck.sqf_samples(rng.sample(unpeeled, 60) + rng.sample(peeled, 20))
+    assert len(samples) > 1000
+    assert crosscheck.sqf_rule(samples) == []
+
+
+@pytest.mark.parametrize("name", sorted(crosscheck.CHECKS))
+def test_every_crosscheck_list_has_its_pinned_length(name: str) -> None:
+    # each full list asserts its pinned length as it is built
+    build, _ = crosscheck.CHECKS[name]
+    assert build()
+
+
+def test_range_full_flags_a_report_that_full_factoring_contradicts() -> None:
+    # reports as `amd conjecture --out` writes them: (5, 8) splits 4 + 28
+    reports = [_conjecture_cell(cell) for cell in ((3, 6), (5, 8))]
+    assert crosscheck.range_full(reports) == []
+    reports[1]["factor_degrees"] = [32]
+    assert crosscheck.range_full(reports) == [(5, 8)]
+
+
+def test_a_partial_tower_mask_is_unresolved_not_irreducible(monkeypatch: pytest.MonkeyPatch) -> None:
+    # with one prime the tower of F_{3,54} stops on the mask {0, 16, 38, 54}:
+    # not certified, so the cell is Unresolved and (12, 54) is Unknown
+    monkeypatch.setattr(factorization, "_PRIME_BUDGET", 1)
+    conjecture_verdict.cache_clear()
+    try:
+        assert factorization._certify_tower(3, 54) == (False, (103,))
+        report = factorization._observe(3, 54)
+        assert (report.verdict, report.primes_used) == ("Unresolved", (103,))
+        assert decide(12, 54).verdict == "Unknown"
+    finally:
+        conjecture_verdict.cache_clear()
 
 
 def test_tower_squarefree_rule_matches_the_gcd_on_every_small_case() -> None:
@@ -523,7 +539,7 @@ def test_tower_squarefree_rule_matches_the_gcd_on_every_small_case() -> None:
                 for peel in (False, True):
                     if peel and sum(pow(w, j, p) for j in range(k + 1)) % p != zbar:
                         continue
-                    squarefree = _gcd_says_squarefree(k, zbar, p, peel)
+                    squarefree = gcd_says_squarefree(k, zbar, p, peel)
                     got = factorization._tower_sample_squarefree(k, zbar, p, peel)
                     assert got == squarefree, (p, zbar, k, peel)
                     if k % p == 0 or (k + 1) % p == 0:

@@ -239,6 +239,17 @@ def test_polymod_mul_matches_schoolbook(case) -> None:
     assert lst(ctx.mul(arr(a), arr(b))) == expected
 
 
+def test_polymod_refuses_n_times_p_minus_1_squared_at_2_to_the_53() -> None:
+    # at p = 65537, n = 2^21 gives n(p-1)^2 = 2^53 exactly: refused; one
+    # degree below, a trinomial is accepted and folds with no table
+    p, n = 65537, 1 << 21
+    with pytest.raises(ValueError):
+        _gf.PolyMod(np.zeros(n + 1, dtype=np.int64), p)
+    f = np.zeros(n, dtype=np.int64)
+    f[0], f[1], f[-1] = 3, 5, 1
+    assert _gf.PolyMod(f, p)._table is None
+
+
 @given(dividend_and_divisor())
 @settings(max_examples=80, deadline=None)
 def test_divmod_matches_sympy(case) -> None:
