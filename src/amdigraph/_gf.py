@@ -40,7 +40,11 @@ by x^p mod f (row i = x^i * x^p mod f), comes from a Toeplitz matrix of
 x^p, whose columns of degree n and above the fold or the table reduce in a
 few whole-array operations; then row j of Q is row j-1 times M, one float64
 product per row, reduced mod p in int64.  The first step needs no matrix:
-x^p mod f is kept on its own, as row 1.  A caller that asks only about
+x^p mod f is kept on its own, as row 1, and is taken left to right over the
+bits of p: a square by one modular product per bit, and for a set bit one
+multiplication by x, a one-slot shift whose top, x^n, takes one fold or one
+table row.  Each iterate's h_j - x is a copy of h_j with coefficient 1
+lowered, trimmed only when deg h_j <= 1.  A caller that asks only about
 factor degrees up to some u bounds the routine there: it stops after the
 iterate x^(p^u) and returns the unsplit rest, every factor of degree above
 u, as one entry, so a bound of 1 builds no matrix at all.
@@ -56,29 +60,31 @@ applies and a (p-1)/2 power in place of a d*log2(p)-bit power.
 Euclidean division, remainders and (extended) gcds run one quotient loop,
 ``_euclid``, which steps through every division of Euclid inline, with no
 call per division; a single division is Euclid stopped after the first.
-Each operand is packed into one Python int, one 64-bit slot per
-coefficient, the leading coefficient in the lowest slot (Kronecker
-substitution; von zur Gathen & Gerhard, 8.4).  A quotient step reads the
-lowest slot mod p, takes the quotient coefficient c, adds (p - c) times the
-divisor, which makes that slot 0 mod p, and shifts it out: one
+Each operand is packed into one Python int, one 64-bit slot per coefficient,
+the leading coefficient in the lowest slot (Kronecker substitution; von zur
+Gathen & Gerhard, 8.4).  A quotient step reads the lowest slot s and adds
+m = s * t[c] mod p times the divisor, c its leading coefficient and
+t[c] = -1/c mod p, which makes that slot 0 mod p, and shifts it out: one
 multi-precision multiply-add per step in place of a loop over the divisor's
-coefficients.  Slots only grow, so no borrow crosses a slot, and they are
-reduced mod p only when they must be.  In one division a slot receives at
-most min(quotient length, deg b + 1) additions, each at most p - 1 times the
-divisor's largest slot.  The loop carries such a bound for both remainders
-and reduces them (unpack, % p, repack) only before a division whose bound
-would pass 2**63 - 1, so slots always read back as int64.  From reduced
-operands the bound is (p-1) + (deg b + 1)*(p-1)**2, which stays below 2**63
-for deg b below 2**23 when p < 2**20.  A long quotient runs on a window of
-the divisor's length plus 16 slots, topped up from the dividend every 16
-steps, so a step costs O(deg b) words whatever the dividend's length; a
-quotient of at most 16 steps, the common case inside Euclid, takes no
-window.  Only gf_divmod and gf_gcdext read quotients; in a gcd such a short
-quotient is not kept, and each of its steps is one read of the lowest slot,
-one multiply-add and one shift.
+coefficients.  t is a table of negated inverses, built once per prime by the
+recurrence 1/c = -(p // c) * 1/(p mod c) and kept in a bounded LRU, so a
+division computes no inverse.  Slots only grow, so no borrow crosses a
+slot, and they are reduced mod p only when they must be.  In one division a
+slot receives at most min(quotient length, deg b + 1) additions, each at
+most p - 1 times the divisor's largest slot.  The loop carries such a bound
+for both remainders and reduces them (unpack, % p, repack) only before a
+division whose bound would pass 2**63 - 1, so slots always read back as
+int64.  From reduced operands the bound is (p-1) + (deg b + 1)*(p-1)**2,
+which stays below 2**63 for deg b below 2**23 when p < 2**20.  A long
+quotient runs on a window of the divisor's length plus 16 slots, topped up
+from the dividend every 16 steps, so a step costs O(deg b) words whatever
+the dividend's length.  Only gf_divmod and gf_gcdext read quotients; a gcd
+lists none, and its common division, two quotient steps, is written out
+with no loop.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 import random
 from typing import Iterable
 
@@ -128,6 +134,16 @@ def gf_sub(a: GFArray, b: GFArray, p: int) -> GFArray:
     return gf_trim(out)
 
 
+def _minus_x(h: GFArray, p: int) -> GFArray:
+    """h - x: a copy of h with coefficient 1 lowered by 1 mod p.  Only a
+    top of degree at most 1 can cancel, so only then does ``gf_sub`` trim."""
+    if len(h) <= 2:
+        return gf_sub(h, gf_x(), p)
+    out = h.copy()
+    out[1] = (int(out[1]) - 1) % p
+    return out
+
+
 def gf_mul(a: GFArray, b: GFArray, p: int) -> GFArray:
     if len(a) == 0 or len(b) == 0:
         return gf_zero()
@@ -165,6 +181,17 @@ def _unpack(r: int, n: int, p: int) -> GFArray:
     return _slots(r, n)[::-1] % p
 
 
+@lru_cache(maxsize=64)
+def _neg_inverses(p: int) -> list[int]:
+    """t[c] = -1/c mod p for c in [1, p), t[0] = 0: the multiplier that makes
+    a slot c mod p vanish.  1/c = -(p // c) * 1/(p mod c) mod p, since
+    p = (p // c)*c + p mod c, and -1/c satisfies the same recurrence."""
+    t = [0, p - 1]
+    for c in range(2, p):
+        t.append((p - p // c) * t[p % c] % p)
+    return t
+
+
 def _euclid(
     a: GFArray, b: GFArray, p: int, quotients: list[GFArray] | None = None, once: bool = False
 ) -> tuple[int, int, int, int]:
@@ -174,12 +201,13 @@ def _euclid(
     (r0, n0, r1, n1), r1 = 0 and r0 the last nonzero remainder, not made
     monic.  With ``once`` it stops after the first division, so r1 = a mod b.
     Appends each division's quotient to ``quotients`` when given
-    (``gf_divmod`` and ``gf_gcdext``).  Without it a quotient of at most
-    _WINDOW steps, the common case in a gcd, is not kept: each step is one
-    read, one multiply-add and one shift.  A longer quotient runs on the
-    window, as it does with ``quotients``.
+    (``gf_divmod`` and ``gf_gcdext``); a gcd lists no quotient coefficient.
+    Each division's multiplier comes from the prime's table of negated
+    inverses (``_neg_inverses``).  The common division of a gcd, two steps,
+    is written out: one read, one multiply-add and one shift per step.
     """
     r0, n0, r1, n1 = _pack(a), len(a), _pack(b), len(b)
+    neg_inv = _neg_inverses(p)
     top = p - 1
     b0 = b1 = top  # slot bounds of r0 and r1
     while n1:
@@ -197,20 +225,21 @@ def _euclid(
             bound = top + touches * top * top
         # adding ((lowest slot) * neg % p) * r1 makes the lowest slot 0 mod p;
         # that multiplier is p - c for the quotient coefficient c, or 0
-        neg = p - pow(r1 & _MASK, -1, p)
-        w = r0
-        if quotients is None and steps <= _WINDOW:
-            for _ in range(steps):
-                w = (w + (w & _MASK) * neg % p * r1) >> 64
+        neg = neg_inv[(r1 & _MASK) % p]
+        if steps == 2 and quotients is None:
+            w = (r0 + (r0 & _MASK) * neg % p * r1) >> 64
+            w = (w + (w & _MASK) * neg % p * r1) >> 64
         else:
-            rest = 0
+            w, rest = r0, 0
             if steps > _WINDOW:
-                w, rest = r0 & ((1 << 64 * (n1 - 1 + _WINDOW)) - 1), r0 >> 64 * (n1 - 1 + _WINDOW)
+                cut = 64 * (n1 - 1 + _WINDOW)
+                w, rest = r0 & ((1 << cut) - 1), r0 >> cut
             q: list[int] = []
             for step in range(steps):
                 c = (w & _MASK) * neg % p
-                q.append(c)
                 w = (w + c * r1) >> 64
+                if quotients is not None:
+                    q.append(c)
                 if rest and step % _WINDOW == _WINDOW - 1:  # top the window up
                     w |= (rest & _WINDOW_MASK) << 64 * (n1 - 1)
                     rest >>= 64 * _WINDOW
@@ -328,9 +357,9 @@ class PolyMod:
         return gf_trim(c)
 
     def pow(self, a: GFArray, e: int) -> GFArray:
-        """a**e mod f for a reduced mod f, as in ``mul``: ``x_to_p`` (n >= 2)
-        and the equal-degree split (a norm: a draw of degree below n, or a
-        ``mul`` product) pass no other base."""
+        """a**e mod f for a reduced mod f, as in ``mul``.  Only the
+        equal-degree split calls it, on a norm (a draw of degree below n, or
+        a ``mul`` product); ``x_to_p`` has its own ladder."""
         r = gf_one()
         while e:
             if e & 1:
@@ -341,10 +370,35 @@ class PolyMod:
 
     def x_to_p(self) -> GFArray:
         """x^p mod f, the first Frobenius iterate of x and row 1 of the matrix,
-        asked for only at n >= 2, where x is reduced mod f."""
+        asked for only at n >= 2, where x is reduced mod f.  Left to right
+        over the bits of p: each further bit squares by ``mul``, and a set
+        bit then multiplies by x (``_times_x``)."""
         if self._xp is None:
-            self._xp = self.pow(gf_x(), self.p)
+            r = gf_x()
+            for bit in bin(self.p)[3:]:
+                r = self.mul(r, r)
+                if bit == "1":
+                    r = self._times_x(r)
+            self._xp = r
         return self._xp
+
+    def _times_x(self, a: GFArray) -> GFArray:
+        """x*a mod f for a reduced mod f: a one-slot shift, and when a has
+        degree n-1, one fold or one table row (x^n mod f) for its top."""
+        n, p = self.n, self.p
+        c = np.zeros(len(a) + 1, dtype=np.int64)
+        c[1:] = a
+        if len(c) > n:
+            hi = c[n]
+            c = c[:n]
+            if self._table is None:  # x^n = -a*x - b
+                f0, f1 = self._fold
+                c[0] -= f0 * hi
+                c[1] -= f1 * hi
+            else:
+                c += hi * self._table[0]
+            c %= p
+        return gf_trim(c)
 
     def frobenius_matrix(self) -> np.ndarray:
         """Rows j = x^{p*j} mod f, j in [0, n), in the one float64 matrix that
@@ -445,8 +499,7 @@ def gf_distinct_degree_list(
     rem_deg = gf_degree(remaining)
     ctx = ctx or PolyMod(remaining, p)
     out: list[tuple[GFArray, int]] = []
-    x = gf_x()
-    h = x
+    h = gf_x()
     j = 0
     block = 8
     last = rem_deg if upto is None else upto
@@ -455,7 +508,7 @@ def gf_distinct_degree_list(
         while len(iterates) < block and j < last and rem_deg >= 2 * (j + 1):
             j += 1
             h = ctx.frobenius(h) if j > 1 else ctx.x_to_p()
-            iterates.append((j, gf_sub(h, x, p)))
+            iterates.append((j, _minus_x(h, p)))
         acc = iterates[0][1]
         for _, hx in iterates[1:]:
             acc = ctx.mul(acc, hx)

@@ -414,8 +414,9 @@ def test_distinct_degree_list_bounded_at_one_builds_no_frobenius_matrix() -> Non
 
 
 def test_x_to_p_divides_nothing(monkeypatch: pytest.MonkeyPatch) -> None:
-    # pow takes its base reduced, as mul does, and x is reduced modulo any f
-    # of degree >= 2, so the first Frobenius iterate needs no division
+    # x^p is squared by mul and shifted by x, each of which takes its input
+    # reduced, and x is reduced modulo any f of degree >= 2, so the first
+    # Frobenius iterate needs no division
     p = 101
     f = ref_mul(_irreducibles(2, p)[0], _irreducibles(3, p)[0], p)
     ctx = _gf.PolyMod(arr(f), p)
@@ -428,6 +429,82 @@ def test_x_to_p_divides_nothing(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setattr(_gf, "gf_divmod", spy)
     assert lst(ctx.x_to_p()) == ref_powmod([0, 1], p, f, p)
     assert calls == []
+
+
+def _x_to_p_cases() -> list:
+    """A trinomial and a dense f at each prime, of a degree above p, between
+    p/2 and p, and at most (p+1)/2, where the kernel and ``ref_powmod``
+    (n*p*p < 2**64) accept it: p = 2 has no degree of the last kind, and
+    p = 1048573 only degrees of the last kind."""
+    rng = random.Random(229)
+    cases = []
+    for p in (2, 3, 101, 229, 1048573):
+        sizes = {"n-above-p": p + 1, "n-to-p": p, "n-to-half-p": (p + 1) // 2}
+        if p == 1048573:
+            sizes = {"n-to-half-p": 15}
+        for kind, n in sizes.items():
+            if n < 2:
+                continue
+            tri = [rng.randrange(1, p), rng.randrange(1, p)] + [0] * (n - 2) + [1]
+            dense = [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p), 1]
+            for shape, f in (("trinomial", tri), ("dense", dense)):
+                if n > 2 or shape == "trinomial":  # at n = 2 every f is a trinomial
+                    cases.append(pytest.param(p, f, shape, id=f"p{p}-{shape}-{kind}"))
+    return cases
+
+
+@pytest.mark.parametrize("p, f, shape", _x_to_p_cases())
+def test_x_to_p_by_squaring_and_shifting_matches_the_reference_power(
+    p: int, f: list[int], shape: str
+) -> None:
+    # squares by mul, and each set bit of p shifts by x, folding the x^n that
+    # the shift makes (trinomial) or adding the table's row 0 (dense)
+    ctx = _gf.PolyMod(arr(f), p)
+    assert (ctx._table is None) == (shape == "trinomial")
+    assert lst(ctx.x_to_p()) == ref_powmod([0, 1], p, f, p)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [[], [5], [0, 1], [5, 1], [0, 7], [3, 0], [3, 1, 0, 2, 9], [3, 0, 0, 2, 9]],
+    ids=["zero", "constant", "x", "x+c", "7x", "c", "deg4", "deg4-no-x"],
+)
+def test_minus_x_equals_gf_sub(h: list[int]) -> None:
+    p = 11
+    want = _gf.gf_sub(arr(h), _gf.gf_x(), p)
+    got = _gf._minus_x(arr(h), p)
+    assert got.dtype == np.int64 and lst(got) == lst(want) == ref_sub(h, [0, 1], p)
+    if h == [0, 1]:
+        assert len(got) == 0  # x - x is the zero polynomial, trimmed
+
+
+@pytest.mark.parametrize("p", (2, 3, 229, 1048573))
+def test_negated_inverse_table(p: int) -> None:
+    # the recurrence 1/c = -(p // c) * 1/(p mod c) gives c * t[c] = -1 mod p
+    t = np.array(_gf._neg_inverses(p), dtype=np.int64)
+    c = np.arange(p, dtype=np.int64)
+    assert len(t) == p and t[0] == 0
+    assert (c[1:] * t[1:] % p == p - 1).all()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gcd_of_degree_100_pairs_at_229(seed: int) -> None:
+    # about a hundred two-step divisions each, with the slots reduced every
+    # few divisions; odd seeds plant a common factor of degree 10 to 30
+    p = 229
+    rng = random.Random(seed)
+    if seed % 2:
+        g = [rng.randrange(p) for _ in range(rng.randrange(10, 31))] + [1]
+        a = ref_mul(g, [rng.randrange(p) for _ in range(101 - len(g))] + [1], p)
+        b = ref_mul(g, [rng.randrange(p) for _ in range(100 - len(g))] + [rng.randrange(1, p)], p)
+    else:
+        a = [rng.randrange(p) for _ in range(100)] + [1]
+        b = [rng.randrange(p) for _ in range(99)] + [rng.randrange(1, p)]
+    assert (len(a), len(b)) == (101, 100)
+    want = ref_gcd(a, b, p)
+    assert lst(_gf.gf_gcd(arr(a), arr(b), p)) == want
+    if seed % 2:
+        assert len(want) == len(g)
 
 
 def test_int64_edge_largest_prime_degree_300() -> None:
