@@ -84,6 +84,7 @@ with no loop.
 """
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 import random
 from typing import Iterable
@@ -182,11 +183,12 @@ def _unpack(r: int, n: int, p: int) -> GFArray:
 
 
 @lru_cache(maxsize=64)
-def _neg_inverses(p: int) -> list[int]:
+def _neg_inverses(p: int) -> array:
     """t[c] = -1/c mod p for c in [1, p), t[0] = 0: the multiplier that makes
     a slot c mod p vanish.  1/c = -(p // c) * 1/(p mod c) mod p, since
-    p = (p // c)*c + p mod c, and -1/c satisfies the same recurrence."""
-    t = [0, p - 1]
+    p = (p // c)*c + p mod c, and -1/c satisfies the same recurrence.
+    Stored as 8-byte machine ints: at p near 2**20 a list would hold 40 MB."""
+    t = array("q", (0, p - 1))
     for c in range(2, p):
         t.append((p - p // c) * t[p % c] % p)
     return t
@@ -543,11 +545,12 @@ def gf_equal_degree_split(
 
     A constant or zero draw a needs no skip: a**((p**d - 1)/2) - 1 is then
     0, -2 or -1, so its gcd with f is f or 1, which splits nothing, and the
-    loop draws again."""
+    loop draws again.  Each draw splits with probability at least 1/2, so 64
+    misses in a row mean a faulty kernel and raise ArithmeticError."""
     n = gf_degree(f)
     if n == d:
         return [f]
-    while True:
+    for _ in range(64):
         a = norm = gf_trim(np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64))
         for _ in range(d - 1):
             a = ctx.frobenius(a)
@@ -555,6 +558,8 @@ def gf_equal_degree_split(
         g = gf_gcd(f, gf_sub(ctx.pow(norm, (p - 1) // 2), gf_one(), p), p)
         if 0 < gf_degree(g) < n:
             break
+    else:
+        raise ArithmeticError(f"no split of a degree-{n} product of degree-{d} factors mod {p}")
     h = gf_divmod(f, g, p)[0]
     return gf_equal_degree_split(g, d, p, rng, ctx) + gf_equal_degree_split(h, d, p, rng, ctx)
 

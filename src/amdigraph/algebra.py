@@ -81,13 +81,6 @@ class IntPoly:
             return 0
         return self.coeffs[-1]
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "IntPoly") -> "IntPoly":

@@ -308,13 +308,13 @@ def _leaving_walk(
     return None
 
 
-def check_rk_closed(g: Digraph, h: tuple[int, ...], check: MooreCheck, k: int) -> bool:
+def check_rk_closed(g: Digraph, h: tuple[int, ...], check: MooreCheck) -> bool:
     """True iff r(h) is inside the vertex set h and, for distinct u,v in h,
-    every walk of length <= k from u to v has all its vertices inside h."""
+    every walk of length <= check.k from u to v has all its vertices inside h."""
     hset = set(h)
     if any(check.P[v] not in hset for v in h):
         return False
-    return _leaving_walk(g, k, h, hset) is None
+    return _leaving_walk(g, check.k, h, hset) is None
 
 
 @dataclass(frozen=True)
@@ -347,7 +347,7 @@ def check_subdigraph_theorem(
     """H_alpha is either the self-repeat cycle C_k, or a (d',k)-digraph with
     d' <= d: diregular, of order d' + ... + d'^k, with diameter exactly k."""
     h = build_H_alpha(g, check, alpha)
-    failures = [] if check_rk_closed(g, h, check, check.k) else ["rk_closed"]
+    failures = [] if check_rk_closed(g, h, check) else ["rk_closed"]
     sub = _induce(g, h)
     cycle_case = (
         bool(h)

@@ -88,6 +88,7 @@ _PRIME_BUDGET = 24
 _HENSEL_CHOICES = 5  # usable primes whose counts choose the Hensel prime
 _DEGREE_CAP = 1600
 _CACHE_SIZE = 128  # entries in each of the _scan and _factor_over_Q caches
+_FULL_FACTOR_DEGREE = 48  # below this, go straight to factor_over_Q
 _Image = tuple[_gf.GFArray, _gf.PolyMod | None]  # f mod p, and a PolyMod for its DDF
 
 
@@ -592,8 +593,6 @@ def _certify_tower(i: int, k: int) -> tuple[bool, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Conjecture verdicts
 # ---------------------------------------------------------------------------
-
-_FULL_FACTOR_DEGREE = 48  # below this, go straight to factor_over_Q
 
 
 def _observe(i: int, k: int) -> FactorReport:

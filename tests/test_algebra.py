@@ -40,8 +40,6 @@ def test_intpoly_basic_accessors() -> None:
     assert p.lead == 4
     assert p.content() == 2
     assert p.primitive_part().coeffs == (1, 0, 2)
-    assert not p.is_monic
-    assert IntPoly((5, 1)).is_monic
     assert IntPoly.zero().degree == -1
 
 

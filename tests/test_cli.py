@@ -426,13 +426,24 @@ def test_conjecture_summary_and_cell_files(tmp_path: Path, capsys: pytest.Captur
     assert summary["Inconsistent"] == 0
 
 
-def test_factor_prints_degrees(capsys: pytest.CaptureFixture[str]) -> None:
-    assert main(["factor", "--i", "3", "--k", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "degree 8" in out
-    assert "verdict: Reducible" in out
-    assert "factor degrees: 2 6" in out
-    assert "predicted A=True B=True -> Consistent" in out
+@pytest.mark.parametrize(
+    "i, k, lines",
+    [
+        (3, 4, ["F_{3,4}: degree 8", "verdict: Reducible", "factor degrees: 2 6",
+                "conjecture: predicted A=True B=True -> Consistent"]),
+        (5, 8, ["factor degrees: 4 28", "certificate: FullFactorization"]),
+        (7, 10, ["factor degrees: 60", "certificate: DegreeSetIntersection", "primes used: 113"]),
+        (5, 18, ["factor degrees: 4 68", "certificate: FullFactorization", "primes used: 101"]),
+    ],
+    ids=["3-4", "5-8", "7-10", "5-18"],
+)
+def test_factor_prints_degrees(
+    i: int, k: int, lines: list[str], capsys: pytest.CaptureFixture[str]
+) -> None:
+    assert main(["factor", "--i", str(i), "--k", str(k)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for line in lines:
+        assert line in out
 
 
 def test_oracle_gen_check_report_flow(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:

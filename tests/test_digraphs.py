@@ -237,12 +237,12 @@ def test_walk_counts_are_one_plus_repeat_indicator() -> None:
     assert (A + A @ A == np.ones((6, 6)) - np.eye(6) + residual).all()
     h_all = build_H_alpha(FIX_33, chk, 3)
     assert h_all == (0, 1, 2, 3, 4, 5)
-    assert check_rk_closed(FIX_33, h_all, chk, 2)
+    assert check_rk_closed(FIX_33, h_all, chk)
 
 
 def test_rk_closed_detects_broken_subset() -> None:
     chk = verify_moore(FIX_33, 2, 2)
-    assert not check_rk_closed(FIX_33, (0, 1, 2, 3, 4), chk, 2)
+    assert not check_rk_closed(FIX_33, (0, 1, 2, 3, 4), chk)
 
 
 def test_fixed_walks_square_property() -> None:
@@ -266,7 +266,7 @@ def test_walk_checks_match_brute_force_reference() -> None:
         P = tuple(rng.sample(range(n), n))
         fake = MooreCheck(d=2, k=k, P=P)
         h = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
-        rk = check_rk_closed(g, h, fake, k)
+        rk = check_rk_closed(g, h, fake)
         assert rk == rk_closed_by_walks(out, h, P, k), (out, h, P, k)
         try:
             fixed = check_fixed_walks(g, fake)

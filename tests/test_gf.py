@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import random
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -487,6 +488,18 @@ def test_negated_inverse_table(p: int) -> None:
     assert (c[1:] * t[1:] % p == p - 1).all()
 
 
+def test_negated_inverse_table_holds_machine_ints() -> None:
+    # 8 bytes an entry: about 8.4 MB at the largest prime, where a list of
+    # Python ints held 40 MB
+    tracemalloc.start()
+    try:
+        t = _gf._neg_inverses.__wrapped__(1048573)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 1048573 and peak < 16 << 20
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_gcd_of_degree_100_pairs_at_229(seed: int) -> None:
     # about a hundred two-step divisions each, with the slots reduced every
@@ -702,6 +715,15 @@ def test_equal_degree_split_matches_sympy(p: int, d: int) -> None:
     for ctx in (_gf.PolyMod(arr(f), p), _gf.PolyMod(arr(multiple), p)):
         got = _gf.gf_equal_degree_split(arr(f), d, p, random.Random(d), ctx)
         assert sorted(lst(g) for g in got) == want
+
+
+def test_equal_degree_split_stops_when_no_draw_splits(monkeypatch: pytest.MonkeyPatch) -> None:
+    # a gcd that splits nothing, as a faulty kernel would give, ends the draws
+    p = 101
+    f = arr(ref_mul([1, 1], [2, 1], p))
+    monkeypatch.setattr(_gf, "gf_gcd", lambda a, b, p: _gf.gf_one())
+    with pytest.raises(ArithmeticError, match="no split"):
+        _gf.gf_equal_degree_split(f, 1, p, random.Random(0), _gf.PolyMod(f, p))
 
 
 def test_squarefree_list_refuses_a_multiplicity_of_p() -> None:
